@@ -103,6 +103,7 @@ from .solver import (
     is_valid,
     k_dicolourable,
     list_dicolourable,
+    optimal_dicolouring,
 )
 from .sparse import (
     MonteCarloEstimates,

@@ -40,7 +40,8 @@ from .errors import (
     PreconditionViolated,
 )
 from .params import biclique_report, degree_profile
-from .solver import Dicolouring, ListAssignment, _creates_cycle, is_valid
+from .solver import Dicolouring, ListAssignment, Masks, is_valid
+from .solver import _closes_cycle, _masks, _search
 
 
 @dataclass(frozen=True)
@@ -130,29 +131,13 @@ class _StructureMismatch(Exception):
 
 
 def _transversal_search(
-    d: Digraph,
-    parts: Sequence[frozenset[int]],
-    fixed: Sequence[int],
-    forbidden: frozenset[int],
+    masks: Masks, parts: Sequence[frozenset[int]], fixed: int, forbidden: frozenset[int]
 ) -> Optional[set[int]]:
     """One allowed vertex per part extending `fixed`, acyclic overall."""
-    selected = set(fixed)
     order = sorted(parts, key=lambda p: (len(p - forbidden), sorted(p)))
-    allowed = [sorted(p - forbidden) for p in order]
-
-    def place(i: int) -> bool:
-        if i == len(order):
-            return True
-        for v in allowed[i]:
-            if _creates_cycle(d, selected, v):
-                continue
-            selected.add(v)
-            if place(i + 1):
-                return True
-            selected.remove(v)
-        return False
-
-    return selected if place(0) else None
+    steps = [(sorted(p - forbidden), (0,)) for p in order]
+    found = next(_search(*masks, [1 << fixed], steps), None)
+    return None if found is None else {fixed, *found}
 
 
 def find_asr(inst: ASRInstance, anchor: Optional[int] = None) -> frozenset[int]:
@@ -163,29 +148,24 @@ def find_asr(inst: ASRInstance, anchor: Optional[int] = None) -> frozenset[int]:
     NoASR reports genuine non-existence.
     """
     d = inst.digraph
-    if anchor is None:
-        x1 = min(inst.parts[-1])
-        rest = inst.parts[:-1]
-    else:
-        idx = inst.part_of(anchor)
-        x1 = anchor
-        rest = tuple(p for i, p in enumerate(inst.parts) if i != idx)
+    masks = _masks(d)
+    idx = len(inst.parts) - 1 if anchor is None else inst.part_of(anchor)
+    x1 = min(inst.parts[idx]) if anchor is None else anchor
+    rest = tuple(p for i, p in enumerate(inst.parts) if i != idx)
 
     if inst.satisfies_degree_condition:
-        found = _transversal_search(d, rest, [x1], frozenset(d.out_adj[x1]))
+        found = _transversal_search(masks, rest, x1, d.out_adj[x1])
         if found is None:
             raise InternalInconsistency(
                 "no ASR avoiding the anchor's out-neighbours, though the "
                 "degree condition guarantees one"
             )
     else:
-        found = _transversal_search(d, rest, [x1], frozenset())
-        if found is None and anchor is None:
-            # the fixed representative of the last part was arbitrary
-            for x1 in sorted(inst.parts[-1])[1:]:
-                found = _transversal_search(d, rest, [x1], frozenset())
-                if found is not None:
-                    break
+        # without an anchor the representative of the last part is free
+        for x1 in sorted(inst.parts[idx]) if anchor is None else [x1]:
+            found = _transversal_search(masks, rest, x1, frozenset())
+            if found is not None:
+                break
         if found is None:
             raise NoASR("no acyclic system of representatives exists")
     result = frozenset(found)
@@ -225,65 +205,45 @@ def search_good_triplet(
     """Exhaustive search for a good triplet; None under the degree condition
     is the expected outcome (any hit would refute the counting bound)."""
     d = inst.digraph
+    masks = _masks(d)
     r = len(inst.parts)
     anchors = [anchor] if anchor is not None else sorted(inst.parts[r - 1])
     for x1 in anchors:
         for bits in range(1, 1 << (r - 1)):
             i_set = frozenset(i for i in range(r - 1) if bits >> i & 1)
             v_i = sorted(set().union(*(inst.parts[i] for i in i_set)))
-            for y in _part_transversals(d, [inst.parts[i] for i in sorted(i_set)]):
+            steps = [(sorted(inst.parts[i]), (0,)) for i in sorted(i_set)]
+            for y in map(set, _search(*masks, [0], steps)):
                 pool = [u for u in v_i if u not in y] + [x1]
-                for x in _covering_sets(d, pool, x1, y):
+                for x in _covering_sets(d, masks, pool, x1, y):
                     triplet = GoodTriplet(i_set, frozenset(x), frozenset(y))
                     if is_good_triplet(inst, triplet):
                         return triplet
     return None
 
 
-def _part_transversals(
-    d: Digraph, parts: Sequence[frozenset[int]]
-) -> Iterator[set[int]]:
-    chosen: set[int] = set()
-
-    def walk(i: int) -> Iterator[set[int]]:
-        if i == len(parts):
-            yield set(chosen)
-            return
-        for v in sorted(parts[i]):
-            if _creates_cycle(d, chosen, v):
-                continue
-            chosen.add(v)
-            yield from walk(i + 1)
-            chosen.remove(v)
-
-    yield from walk(0)
-
-
 def _covering_sets(
-    d: Digraph, pool: Sequence[int], x1: int, y: set[int]
+    d: Digraph, masks: Masks, pool: Sequence[int], x1: int, y: set[int]
 ) -> Iterator[set[int]]:
     """Acyclic subsets of the pool containing x1 in which every vertex of y
     keeps exactly one in-neighbour (exact cover by in-stars).  Members with
     no out-neighbour in y are pruned: they could never sit in a good X."""
-    x: set[int] = set()
     covered: set[int] = set()
 
-    def walk(i: int) -> Iterator[set[int]]:
+    def walk(i: int, x: int) -> Iterator[set[int]]:
         if i == len(pool):
-            if x1 in x and covered == y:
-                yield set(x)
+            if x >> x1 & 1 and covered == y:
+                yield {v for v in pool if x >> v & 1}
             return
         v = pool[i]
         hits = d.out_adj[v] & y
-        if hits and not hits & covered and not _creates_cycle(d, x, v):
-            x.add(v)
+        if hits and not hits & covered and not _closes_cycle(*masks, x, v):
             covered.update(hits)
-            yield from walk(i + 1)
+            yield from walk(i + 1, x | 1 << v)
             covered.difference_update(hits)
-            x.remove(v)
-        yield from walk(i + 1)
+        yield from walk(i + 1, x)
 
-    yield from walk(0)
+    yield from walk(0, 0)
 
 
 def list_dicolour_asr(d: Digraph, lists: ListAssignment, k: int) -> Dicolouring:

@@ -32,7 +32,7 @@ from .params import (
     density_report,
     directed_clique_number,
 )
-from .solver import dichromatic_number, k_dicolourable, list_dicolourable
+from .solver import k_dicolourable, list_dicolourable, optimal_dicolouring
 from .sparse import sparse_dicolour
 
 
@@ -71,7 +71,7 @@ def _cmd_params(args) -> int:
             "m_minus": list(density.m_minus),
             "bv": list(density.bv),
             "omega_bi": report.omega_bi,
-            "omega_directed": directed_clique_number(d),
+            "omega_directed": directed_clique_number(d, report.omega_bi),
         }
     )
     return 0
@@ -99,8 +99,8 @@ def _cmd_dicolor(args) -> int:
         colouring = k_dicolourable(d, args.k)
         _emit({"k": args.k, "dicolourable": colouring is not None, "colouring": colouring})
         return 0
-    chi = dichromatic_number(d)
-    _emit({"dichromatic_number": chi, "colouring": k_dicolourable(d, chi)})
+    colouring = optimal_dicolouring(d)
+    _emit({"dichromatic_number": colouring.k, "colouring": colouring})
     return 0
 
 
@@ -299,3 +299,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -32,10 +32,9 @@ from .matching import maximum_matching
 from .params import biclique_report, degree_profile, density_report
 from .solver import (
     Dicolouring,
-    dichromatic_number,
     is_valid,
-    k_dicolourable,
     list_dicolourable,
+    optimal_dicolouring,
 )
 
 
@@ -280,9 +279,8 @@ def dense_reduce_theorem(d: Digraph, a, eps) -> DenseReport:
         )
     v, side = located
     removed, relabel = d.remove_vertices(frozenset({v}))
-    chi_minus = dichromatic_number(removed)
-    k = max(chi_minus, int((1 - eps) * (delta + 1)))
-    sub_col = k_dicolourable(removed, chi_minus)
+    sub_col = optimal_dicolouring(removed)
+    k = max(sub_col.k, int((1 - eps) * (delta + 1)))
     inverse = {new: old for old, new in relabel.items()}
     base = Dicolouring(
         k, {inverse[u]: sub_col.colour(u) for u in range(removed.n)}

@@ -204,11 +204,6 @@ class Digraph:
 # -- constructors -------------------------------------------------------
 
 
-def from_arcs(n: int, arcs: Iterable[tuple[int, int]]) -> Digraph:
-    """Build a digraph from (possibly repeated) arcs; duplicates collapse."""
-    return Digraph(n, arcs)
-
-
 def symmetric_closure(g: Graph) -> Digraph:
     """Replace every edge of ``g`` by a digon (the bidirected digraph of g)."""
     arcs = []
@@ -282,7 +277,3 @@ def obstruction(n_cycle: int, p: int) -> Digraph:
                 arcs.append((v, u))
     return Digraph(n_cycle * p, arcs)
 
-
-def lex_product_symmetric(n_cycle: int, p: int) -> Digraph:
-    """Alias for ``obstruction``; the name spells out the construction."""
-    return obstruction(n_cycle, p)

@@ -115,14 +115,6 @@ def floor_div_e7(numerator: int, denominator: int) -> int:
             raise InvalidParameter("sandwich failed to converge")
 
 
-def frac_below_div_e7(value: Fraction) -> Fraction:
-    """A rational r with r <= value / e^7 and r within 2^-64 of it."""
-    if value <= 0:
-        raise InvalidParameter("expected a positive value")
-    lo, hi = e7_bounds(128)
-    return value * (1 << 128) / hi
-
-
 def compare_to_ln_cubed(q: Fraction, x: int) -> int:
     """Sign of q - ln(x)^3 for integer x >= 2, exactly (-1, 0 impossible, +1)."""
     if x < 2:

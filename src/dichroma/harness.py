@@ -236,8 +236,8 @@ def verify_instance(
     start = time.perf_counter()
     profile = degree_profile(d)
     omega_bi = biclique_report(d).omega_bi
-    omega_dir = directed_clique_number(d)
-    chi = dichromatic_number(d)
+    omega_dir = directed_clique_number(d, omega_bi)
+    chi = dichromatic_number(d, omega_bi)
     record = VerificationRecord(
         instance_id=instance_id,
         seed=seed,
@@ -333,9 +333,10 @@ def verify_delmin(d: Digraph, eps, cap: int = EXACT_CHI_CAP) -> DelminRecord:
     start = time.perf_counter()
     profile = degree_profile(d)
     omega_bi = biclique_report(d).omega_bi
-    omega_dir = directed_clique_number(d)
-    chi = dichromatic_number(d)
+    omega_dir = directed_clique_number(d, omega_bi)
+    chi = dichromatic_number(d, omega_bi)
     h = delmin_reduction(d)
+    h_omega_bi = biclique_report(h).omega_bi
     record = DelminRecord(
         n=d.n,
         delta_min=profile.delta_min,
@@ -345,8 +346,8 @@ def verify_delmin(d: Digraph, eps, cap: int = EXACT_CHI_CAP) -> DelminRecord:
         bound=ceil_frac((1 - eps) * profile.delta_min + eps * omega_dir),
         digon_bound=ceil_frac((1 - eps) * profile.delta_min + 2 * eps * omega_bi),
         reduction_delta_plus=degree_profile(h).delta_plus,
-        reduction_omega_bi=biclique_report(h).omega_bi,
-        reduction_chi=dichromatic_number(h),
+        reduction_omega_bi=h_omega_bi,
+        reduction_chi=dichromatic_number(h, h_omega_bi),
         eps=eps,
         runtime=time.perf_counter() - start,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from .digraph import Digraph
 from .errors import CapExceeded, InternalInconsistency, InvalidParameter
@@ -165,15 +166,16 @@ def biclique_report(d: Digraph, cap: int = 10**6) -> BicliqueReport:
     return BicliqueReport(omega, tuple(maximum), components)
 
 
-def directed_clique_number(d: Digraph) -> int:
+def directed_clique_number(d: Digraph, omega_bi: Optional[int] = None) -> int:
     """Largest |X1| + |X2| with X1, X2 bicliques and every arc from X1 to X2.
 
     Exact three-way branch per vertex (skip, join X1, join X2), pruned by the
-    remaining-vertex count and by |X1|, |X2| <= biclique number.
+    remaining-vertex count and by |X1|, |X2| <= biclique number; pass
+    omega_bi when it is already known.
     """
     if d.n == 0:
         return 0
-    omega = biclique_report(d).omega_bi
+    omega = biclique_report(d).omega_bi if omega_bi is None else omega_bi
     best = omega  # X2 empty, X1 a maximum biclique
     digons = tuple(d.digon_neighbours(v) for v in range(d.n))
 

@@ -2,9 +2,14 @@
 
 A k-dicolouring partitions the vertices into k classes each inducing an
 acyclic subdigraph; a digon is a directed cycle, so digon endpoints never
-share a colour.  All solvers here are exact backtracking searches meant for
-small instances.  Colour labels are opaque to validity checking; solvers
+share a colour.  Colour labels are opaque to validity checking; solvers
 produce colours 0..k-1.
+
+Every exact search here and in the asr module runs on one engine, _search:
+an explicit-stack backtracking over int bitmasks, one per colour class, so
+its depth is not bounded by the recursion limit.  Colourings branch on the
+vertices highest total degree first and open at most one empty class per
+vertex.  Each returned witness is checked with is_valid.
 
 Dichoosability is decided without enumerating raw list assignments, which is
 hopeless even at n = 6.  Three exact reductions shrink the search:
@@ -29,11 +34,12 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .digraph import Digraph
 from .errors import (
     CompletionStuck,
+    InternalInconsistency,
     InvalidParameter,
     MissingList,
     NotPartialKL,
@@ -71,27 +77,76 @@ def _colour_classes(assignment: Mapping[int, int]) -> dict[int, set[int]]:
     return classes
 
 
-def _creates_cycle(d: Digraph, cls: set[int], v: int) -> bool:
-    """Would adding v to the colour class cls close a monochromatic cycle?
+Masks = tuple[list[int], list[int]]
 
-    True iff some class-internal path runs from an out-neighbour of v to an
-    in-neighbour of v (a digon partner is the zero-length case).
-    """
-    starts = d.out_adj[v] & cls
-    targets = d.in_adj[v] & cls
-    if not starts or not targets:
-        return False
-    seen = set(starts)
-    stack = list(starts)
-    while stack:
-        u = stack.pop()
-        if u in targets:
+
+def _masks(d: Digraph) -> Masks:
+    """Out- and in-neighbourhoods of d as int bitmasks, built per search."""
+    return tuple([sum(1 << u for u in a) for a in adj] for adj in (d.out_adj, d.in_adj))
+
+
+def _closes_cycle(out: Sequence[int], inn: Sequence[int], cls: int, v: int) -> bool:
+    """Would adding v to the class mask cls close a cycle inside it?  True iff
+    a walk inside cls from N+(v) meets N-(v) (a digon is the length-0 case)."""
+    targets = inn[v] & cls
+    frontier = seen = out[v] & cls
+    while frontier:
+        if frontier & targets:
             return True
-        for w in d.out_adj[u]:
-            if w in cls and w not in seen:
-                seen.add(w)
-                stack.append(w)
+        step = 0
+        while frontier:
+            low = frontier & -frontier
+            step |= out[low.bit_length() - 1]
+            frontier ^= low
+        frontier = step & cls & ~seen
+        seen |= frontier
     return False
+
+
+def _search(
+    out: Sequence[int],
+    inn: Sequence[int],
+    classes: list[int] | dict[int, int],
+    steps: Sequence[tuple[Sequence[int], Sequence[int]]],
+    fresh_once: bool = False,
+) -> Iterator[dict[int, int]]:
+    """Yield every way to take one option per step with all classes acyclic.
+
+    classes maps class keys to member masks; it is updated in place and
+    restored on backtrack.  The options of a step (vertices, keys) put each
+    vertex into each class, in that order.  With fresh_once a step stops
+    after the first option that opens an empty class: empty classes are
+    interchangeable.  A yield maps each chosen vertex to its class key.
+    """
+    stack: list[tuple[int, int, int]] = []  # (vertex, key, next option)
+    j = 0
+    while True:
+        depth = len(stack)
+        if depth == len(steps):
+            yield {v: key for v, key, _ in stack}
+        else:
+            vertices, keys = steps[depth]
+            width = len(keys)
+            end = len(vertices) * width
+            while j < end:
+                v, key = vertices[j // width], keys[j % width]
+                j += 1
+                cls = classes[key]
+                if not (inn[v] & cls and _closes_cycle(out, inn, cls, v)):
+                    classes[key] = cls | 1 << v
+                    stack.append((v, key, j))
+                    j = 0
+                    break
+            if len(stack) > depth:
+                continue
+        # back to the deepest step with an untried option
+        while stack:
+            v, key, j = stack.pop()
+            classes[key] ^= 1 << v
+            if not (fresh_once and classes[key] == 0):
+                break
+        else:
+            return
 
 
 def is_valid(d: Digraph, c: Dicolouring, require_total: bool = False) -> bool:
@@ -113,50 +168,57 @@ def _branch_order(d: Digraph) -> list[int]:
     )
 
 
+def _checked(d: Digraph, colouring: Dicolouring) -> Dicolouring:
+    if not is_valid(d, colouring, require_total=True):
+        raise InternalInconsistency("search returned an invalid dicolouring")
+    return colouring
+
+
+def _k_search(d: Digraph, masks: Masks, order: list[int], k: int) -> Optional[Dicolouring]:
+    # a search never opens more than n classes, whatever k is
+    keys = range(min(k, d.n))
+    steps = [((v,), keys) for v in order]
+    found = next(_search(*masks, [0] * len(keys), steps, fresh_once=True), None)
+    return None if found is None else _checked(d, Dicolouring(k, found))
+
+
 def k_dicolourable(d: Digraph, k: int) -> Optional[Dicolouring]:
     """A total k-dicolouring of d, or None if there is none."""
     if k < 0:
         raise InvalidParameter("colour count must be non-negative")
+    return _k_search(d, _masks(d), _branch_order(d), k)
+
+
+def optimal_dicolouring(d: Digraph, omega_bi: Optional[int] = None) -> Dicolouring:
+    """A dicolouring with the fewest colours; its k is the dichromatic number.
+
+    k climbs from max(2, omega_bi), a lower bound since a biclique needs
+    one colour per vertex; pass omega_bi when it is already known.
+    """
     if d.n == 0:
-        return Dicolouring(k, {})
-    if k == 0:
-        return None
+        return Dicolouring(0, {})
     order = _branch_order(d)
-    classes: list[set[int]] = [set() for _ in range(k)]
-    assignment: dict[int, int] = {}
-
-    def place(i: int, used: int) -> bool:
-        if i == d.n:
-            return True
-        v = order[i]
-        # symmetry breaking: at most one fresh colour class per step
-        for c in range(min(used + 1, k)):
-            cls = classes[c]
-            if _creates_cycle(d, cls, v):
-                continue
-            cls.add(v)
-            assignment[v] = c
-            if place(i + 1, used + (1 if len(cls) == 1 else 0)):
-                return True
-            cls.remove(v)
-            del assignment[v]
-        return False
-
-    if place(0, 0):
-        return Dicolouring(k, assignment)
-    return None
-
-
-def dichromatic_number(d: Digraph) -> int:
-    """Least k admitting a k-dicolouring; 0 only for the empty digraph."""
-    if d.n == 0:
-        return 0
     if d.is_acyclic():
-        return 1
-    k = max(2, biclique_report(d).omega_bi)
-    while k_dicolourable(d, k) is None:
+        return Dicolouring(1, dict.fromkeys(order, 0))
+    masks = _masks(d)
+    k = max(2, biclique_report(d).omega_bi if omega_bi is None else omega_bi)
+    while (found := _k_search(d, masks, order, k)) is None:
         k += 1
-    return k
+    return found
+
+
+def dichromatic_number(d: Digraph, omega_bi: Optional[int] = None) -> int:
+    """Least k admitting a k-dicolouring; 0 only for the empty digraph."""
+    return optimal_dicolouring(d, omega_bi).k
+
+
+def _list_search(
+    masks: Masks, order: list[int], lists: ListAssignment | Sequence[frozenset[int]]
+) -> Optional[dict[int, int]]:
+    """A list colouring as {vertex: colour}, or None.  Left unchecked, since
+    is_k_dichoosable only asks whether one exists."""
+    classes = dict.fromkeys(frozenset().union(*(lists[v] for v in order)), 0)
+    return next(_search(*masks, classes, [((v,), sorted(lists[v])) for v in order]), None)
 
 
 def list_dicolourable(d: Digraph, lists: ListAssignment) -> Optional[Dicolouring]:
@@ -164,35 +226,11 @@ def list_dicolourable(d: Digraph, lists: ListAssignment) -> Optional[Dicolouring
     for v in range(d.n):
         if v not in lists:
             raise MissingList(f"vertex {v} has no colour list")
-        for c in lists[v]:
-            if c < 0:
-                raise InvalidParameter("list colours must be non-negative")
-    if d.n == 0:
-        return Dicolouring(0, {})
-    k = max(max(lists[v], default=-1) for v in range(d.n)) + 1
-    order = _branch_order(d)
-    by_colour: dict[int, set[int]] = {}
-    assignment: dict[int, int] = {}
-
-    def place(i: int) -> bool:
-        if i == d.n:
-            return True
-        v = order[i]
-        for c in sorted(lists[v]):
-            cls = by_colour.setdefault(c, set())
-            if _creates_cycle(d, cls, v):
-                continue
-            cls.add(v)
-            assignment[v] = c
-            if place(i + 1):
-                return True
-            cls.remove(v)
-            del assignment[v]
-        return False
-
-    if place(0):
-        return Dicolouring(k, assignment)
-    return None
+        if any(c < 0 for c in lists[v]):
+            raise InvalidParameter("list colours must be non-negative")
+    k = max((max(lists[v], default=-1) for v in range(d.n)), default=-1) + 1
+    found = _list_search(_masks(d), _branch_order(d), lists)
+    return None if found is None else _checked(d, Dicolouring(k, found))
 
 
 def _bad_supports(d: Digraph, core: frozenset[int], k: int) -> Iterator[frozenset[int]]:
@@ -310,6 +348,7 @@ def is_k_dichoosable(d: Digraph, k: int, universe: Optional[int] = None) -> bool
     for support in _bad_supports(d, frozenset(core), k):
         sub, relabel = d.induced(support)
         m = sub.n
+        masks, order = _masks(sub), _branch_order(sub)
         seen: set[tuple] = set()
         for u_size in range(k + 1, m + 1):
             for witness in combinations(range(m), u_size):
@@ -325,7 +364,7 @@ def is_k_dichoosable(d: Digraph, k: int, universe: Optional[int] = None) -> bool
                     if key in seen:
                         continue
                     seen.add(key)
-                    if list_dicolourable(sub, dict(enumerate(by_vertex))) is None:
+                    if _list_search(masks, order, by_vertex) is None:
                         return False
     return True
 

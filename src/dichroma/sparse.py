@@ -37,10 +37,9 @@ from .params import degree_profile, density_report, is_b_sparse
 from .solver import (
     Dicolouring,
     check_partial_kl,
-    dichromatic_number,
     greedy_complete,
     is_valid,
-    k_dicolourable,
+    optimal_dicolouring,
 )
 
 
@@ -211,7 +210,7 @@ def sparse_dicolour(
     delta = degree_profile(d).delta_max
     if delta < 2:
         # too few colours for a trial; these digraphs are exactly solvable
-        return k_dicolourable(d, dichromatic_number(d))
+        return optimal_dicolouring(d)
     ell = floor_div_e7(b, 4 * delta)
     regular = diregularize(d, delta)
     if not is_b_sparse(regular, b):

@@ -1,6 +1,7 @@
 """Acyclic systems of representatives and biclique transversals."""
 
 import random
+import sys
 
 import pytest
 
@@ -62,6 +63,20 @@ def test_find_asr_none_exists() -> None:
     assert not inst.satisfies_degree_condition
     with pytest.raises(NoASR):
         find_asr(inst)
+
+
+def test_find_asr_deeper_than_the_recursion_limit() -> None:
+    # parts {2i, 2i+1}; the even vertices form one long directed cycle, so a
+    # transversal must leave it somewhere, and every degree is at most 1
+    m = 3 * sys.getrecursionlimit() // 2
+    d = Digraph(2 * m, [(2 * i, 2 * ((i + 1) % m)) for i in range(m)])
+    inst = ASRInstance(d, tuple(frozenset({2 * i, 2 * i + 1}) for i in range(m)), 1)
+    assert inst.satisfies_degree_condition
+    for anchor in (None, 0, 2 * m - 1):
+        rep = find_asr(inst, anchor)
+        assert anchor is None or anchor in rep
+        assert all(len(rep & p) == 1 for p in inst.parts)
+        assert d.is_acyclic(rep)
 
 
 def _random_condition_instance(seed: int) -> ASRInstance:

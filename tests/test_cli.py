@@ -1,8 +1,14 @@
 """Command line interface, driven in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import dichroma
 
 from dichroma.cli import main
 from dichroma.dgf import emit_dgf, parse_dgf
@@ -198,3 +204,34 @@ def test_check_violation_exit_code(capsys, tmp_path) -> None:
     assert code == 1
     assert out["chi"] == 3 and out["bound"] == 2
     assert out["holds"]["delmin"] is False
+
+
+def test_dicolor_long_triangle_chain(capsys, tmp_path) -> None:
+    from .test_solver import triangle_chain
+
+    path = tmp_path / "chain.dgf"
+    path.write_text(emit_dgf(triangle_chain(1500)), encoding="ascii")
+    code, out, err = _run(capsys, ["dicolor", str(path)])
+    assert code == 0 and err is None
+    assert out["dichromatic_number"] == 2
+    assert len(out["colouring"]["assignment"]) == 1500
+
+
+@pytest.mark.parametrize("module", ["dichroma", "dichroma.cli"])
+def test_python_m_matches_main(capsys, triangle, module) -> None:
+    assert main(["dicolor", triangle]) == 0
+    expected = capsys.readouterr().out
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-m", module, "dicolor", triangle],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == expected

@@ -1,6 +1,7 @@
 """Exact dicolouring solver against brute-force references."""
 
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,9 @@ from dichroma.digraph import (
     symmetric_closure,
     Graph,
 )
+from dichroma import solver
 from dichroma.errors import (
+    InternalInconsistency,
     InvalidParameter,
     MissingList,
     NotPartialKL,
@@ -31,6 +34,7 @@ from dichroma.solver import (
     is_valid,
     k_dicolourable,
     list_dicolourable,
+    optimal_dicolouring,
 )
 
 from .oracles import brute_dichromatic, dichoosable_brute, list_colourable_brute
@@ -116,6 +120,55 @@ def test_list_dicolourable_matches_brute(n: int, seed: int) -> None:
     if got is not None:
         assert is_valid(d, got, require_total=True)
         assert all(got.colour(v) in lists[v] for v in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**30))
+def test_optimal_dicolouring_matches_brute(n: int, seed: int) -> None:
+    rng = random.Random(seed)
+    pd = rng.random() * 0.6
+    d = random_digraph(n, pd, rng.random() * (0.95 - pd), seed=seed)
+    best = optimal_dicolouring(d)
+    chi = brute_dichromatic(d.n, d.arcs)
+    assert best.k == chi == dichromatic_number(d)
+    assert len(set(best.assignment.values())) == chi
+    assert is_valid(d, best, require_total=True)
+
+
+def triangle_chain(n: int) -> Digraph:
+    """n/3 directed triangles, each with an arc into the next one; every
+    cycle stays inside a triangle, so the dichromatic number is 2."""
+    arcs = []
+    for a in range(0, n - 2, 3):
+        arcs += [(a, a + 1), (a + 1, a + 2), (a + 2, a)]
+        if a:
+            arcs.append((a - 1, a))
+    return Digraph(n, arcs)
+
+
+def test_searches_run_deeper_than_the_recursion_limit() -> None:
+    n = 3 * sys.getrecursionlimit()
+    d = triangle_chain(n)
+    two = k_dicolourable(d, 2)
+    assert two is not None and is_valid(d, two, require_total=True)
+    assert k_dicolourable(d, 1) is None
+    lists = {v: frozenset({5, 7}) for v in range(n)}
+    got = list_dicolourable(d, lists)
+    assert got is not None and is_valid(d, got, require_total=True)
+    assert set(got.assignment.values()) == {5, 7}
+    assert optimal_dicolouring(d).k == 2
+
+
+def test_witness_self_check(monkeypatch) -> None:
+    c3 = directed_cycle(3)
+    monochrome = [{0: 0, 1: 0, 2: 0}]
+    monkeypatch.setattr(solver, "_search", lambda *args, **kw: iter(monochrome))
+    with pytest.raises(InternalInconsistency):
+        optimal_dicolouring(c3)
+    with pytest.raises(InternalInconsistency):
+        k_dicolourable(c3, 2)
+    with pytest.raises(InternalInconsistency):
+        list_dicolourable(c3, {v: frozenset({0, 1}) for v in range(3)})
 
 
 def _biclique_k32() -> Digraph:
