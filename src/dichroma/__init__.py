@@ -88,6 +88,7 @@ from .params import (
     DensityReport,
     biclique_report,
     degree_profile,
+    delmin_bound,
     density_report,
     directed_clique_number,
     epsilon_bound,

@@ -77,15 +77,31 @@ def _cmd_params(args) -> int:
     return 0
 
 
-def _load_lists(path: str, n: int):
+def _load_json(path: str, what: str):
     with open(path, "r", encoding="ascii") as handle:
-        data = json.load(handle)
+        try:
+            return json.load(handle)
+        except (ValueError, RecursionError) as err:
+            raise InvalidParameter(f"{what} is not valid JSON: {err}")
+
+
+def _integers(value, what: str) -> frozenset[int]:
+    if not isinstance(value, list) or any(type(x) is not int for x in value):
+        raise InvalidParameter(f"{what} must be a JSON list of integers")
+    return frozenset(value)
+
+
+def _load_lists(path: str, n: int):
+    data = _load_json(path, "list file")
     if isinstance(data, list):
         if len(data) != n:
             raise InvalidParameter("list file must cover every vertex")
-        return {v: frozenset(data[v]) for v in range(n)}
+        return {v: _integers(data[v], "each colour list") for v in range(n)}
     if isinstance(data, dict):
-        return {int(v): frozenset(colours) for v, colours in data.items()}
+        try:
+            return {int(v): _integers(c, "each colour list") for v, c in data.items()}
+        except ValueError:
+            raise InvalidParameter("list file keys must be vertex numbers")
     raise InvalidParameter("list file must hold a JSON list or object")
 
 
@@ -113,11 +129,10 @@ def _cmd_transversal(args) -> int:
 
 def _cmd_asr(args) -> int:
     d = _read_digraph(args.file)
-    with open(args.parts, "r", encoding="ascii") as handle:
-        raw = json.load(handle)
+    raw = _load_json(args.parts, "parts file")
     if not isinstance(raw, list):
         raise InvalidParameter("parts file must hold a JSON list of lists")
-    inst = ASRInstance(d, tuple(frozenset(part) for part in raw), args.k)
+    inst = ASRInstance(d, tuple(_integers(part, "each part") for part in raw), args.k)
     try:
         transversal = find_asr(inst)
     except NoASR:

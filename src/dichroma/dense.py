@@ -172,7 +172,16 @@ def dense_colour(
     if k < 1:
         raise InvalidParameter("k must be positive")
     part = partition_N123(d, v, side, a)
-    work = d if side == "out" else d.reverse()
+    # checks that the vertices exposed by a maximum non-digon matching
+    # pairwise share digons, i.e. the core is as dense as the lists assume
+    _complement_matching(part.padded, sorted(part.n3))
+    return _colour_core(d, part, k, base_colouring)
+
+
+def _colour_core(
+    d: Digraph, part: DensePartition, k: int, base_colouring: Dicolouring
+) -> Optional[Dicolouring]:
+    """dense_colour on a partition already computed and matched."""
     padded = part.padded
     outside = sorted(frozenset(range(d.n)) - part.n3)
     base = base_colouring.assignment
@@ -180,7 +189,7 @@ def dense_colour(
         raise PreconditionViolated(
             "base colouring must cover D - N3 within [k]"
         )
-    sub_out, relabel_out = work.induced(frozenset(outside))
+    sub_out, relabel_out = d.induced(frozenset(outside))
     if not is_valid(
         sub_out,
         Dicolouring(k, {relabel_out[u]: base[u] for u in outside}),
@@ -194,9 +203,6 @@ def dense_colour(
         for u in sorted(part.n3)
     }
     core, relabel = padded.induced(part.n3)
-    # checks that the vertices exposed by a maximum non-digon matching
-    # pairwise share digons, i.e. the core is as dense as the lists assume
-    _complement_matching(padded, sorted(part.n3))
     found = list_dicolourable(
         core, {relabel[u]: lists[u] for u in part.n3}
     )
@@ -320,7 +326,7 @@ def dense_reduce_theorem(d: Digraph, a, eps) -> DenseReport:
             if u not in part.n3
         },
     )
-    colouring = dense_colour(d, v, side, a, k, base_for_colour)
+    colouring = _colour_core(d, part, k, base_for_colour)
     achieved = colouring is not None and colouring.k <= k
     return DenseReport(
         v, side, delta, k, degree_ok, biclique_ok, claims, colouring, achieved

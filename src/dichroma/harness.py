@@ -26,10 +26,12 @@ from .canon import canonical_key
 from .dense import delta_threshold
 from .digraph import Digraph, random_digraph
 from .errors import InstanceTooLarge, InternalInconsistency, InvalidParameter
-from .exactmath import ceil_frac, compare_to_ln_cubed, e7_bounds, geq_sqrt
+from .exactmath import compare_to_ln_cubed, e7_bounds, geq_sqrt
 from .params import (
+    DegreeProfile,
     biclique_report,
     degree_profile,
+    delmin_bound,
     directed_clique_number,
     epsilon_bound,
     reed_bound,
@@ -220,6 +222,19 @@ class VerificationRecord:
         return tuple(name for name, ok in self.holds.items() if not ok)
 
 
+def _exact_parameters(d: Digraph, cap: int) -> tuple[DegreeProfile, int, int, int]:
+    """Degree profile, biclique number, directed clique number and
+    dichromatic number of a digraph small enough for the exact solver."""
+    if d.n > cap:
+        raise InstanceTooLarge(
+            f"exact verification capped at {cap} vertices, got {d.n}"
+        )
+    profile = degree_profile(d)
+    omega_bi = biclique_report(d).omega_bi
+    omega_dir = directed_clique_number(d, omega_bi)
+    return profile, omega_bi, omega_dir, dichromatic_number(d, omega_bi)
+
+
 def verify_instance(
     d: Digraph,
     eps,
@@ -229,15 +244,8 @@ def verify_instance(
 ) -> VerificationRecord:
     """Evaluate every bound on one digraph with the exact solver."""
     eps = _exact_fraction(eps, "eps")
-    if d.n > cap:
-        raise InstanceTooLarge(
-            f"exact verification capped at {cap} vertices, got {d.n}"
-        )
     start = time.perf_counter()
-    profile = degree_profile(d)
-    omega_bi = biclique_report(d).omega_bi
-    omega_dir = directed_clique_number(d, omega_bi)
-    chi = dichromatic_number(d, omega_bi)
+    profile, omega_bi, omega_dir, chi = _exact_parameters(d, cap)
     record = VerificationRecord(
         instance_id=instance_id,
         seed=seed,
@@ -249,10 +257,8 @@ def verify_instance(
         chi=chi,
         reed_bound_value=reed_bound(profile, omega_bi),
         eps_bound_value=epsilon_bound(profile, omega_bi, eps),
-        delmin_bound=ceil_frac((1 - eps) * profile.delta_min + eps * omega_dir),
-        delmin_digon_bound=ceil_frac(
-            (1 - eps) * profile.delta_min + 2 * eps * omega_bi
-        ),
+        delmin_bound=delmin_bound(profile, omega_dir, eps),
+        delmin_digon_bound=delmin_bound(profile, 2 * omega_bi, eps),
         eps=eps,
         runtime=time.perf_counter() - start,
     )
@@ -326,15 +332,8 @@ def verify_delmin(d: Digraph, eps, cap: int = EXACT_CHI_CAP) -> DelminRecord:
     """Evaluate the two min-degree bounds and audit the reduction on one
     digraph at exact-solver scale."""
     eps = _exact_fraction(eps, "eps")
-    if d.n > cap:
-        raise InstanceTooLarge(
-            f"exact verification capped at {cap} vertices, got {d.n}"
-        )
     start = time.perf_counter()
-    profile = degree_profile(d)
-    omega_bi = biclique_report(d).omega_bi
-    omega_dir = directed_clique_number(d, omega_bi)
-    chi = dichromatic_number(d, omega_bi)
+    profile, omega_bi, omega_dir, chi = _exact_parameters(d, cap)
     h = delmin_reduction(d)
     h_omega_bi = biclique_report(h).omega_bi
     record = DelminRecord(
@@ -343,8 +342,8 @@ def verify_delmin(d: Digraph, eps, cap: int = EXACT_CHI_CAP) -> DelminRecord:
         omega_bi=omega_bi,
         omega_directed=omega_dir,
         chi=chi,
-        bound=ceil_frac((1 - eps) * profile.delta_min + eps * omega_dir),
-        digon_bound=ceil_frac((1 - eps) * profile.delta_min + 2 * eps * omega_bi),
+        bound=delmin_bound(profile, omega_dir, eps),
+        digon_bound=delmin_bound(profile, 2 * omega_bi, eps),
         reduction_delta_plus=degree_profile(h).delta_plus,
         reduction_omega_bi=h_omega_bi,
         reduction_chi=dichromatic_number(h, h_omega_bi),
@@ -425,11 +424,6 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def _verify_job(job: tuple[str, Optional[int], Digraph, Fraction]) -> VerificationRecord:
-    instance_id, seed, d, eps = job
-    return verify_instance(d, eps, instance_id=instance_id, seed=seed)
-
-
 def hunt(config: Mapping[str, object]) -> HuntReport:
     """Stream instances, verify the chosen bound on each, and report.
 
@@ -462,7 +456,7 @@ def hunt(config: Mapping[str, object]) -> HuntReport:
     eps = settings["eps"]
     eps = Fraction(1, 2) if eps is None else _exact_fraction(eps, "eps")
 
-    jobs: list[tuple[str, Optional[int], Digraph, Fraction]] = []
+    jobs: list[tuple[Digraph, Fraction, str, Optional[int]]] = []  # verify_instance args
     if mode == "random":
         master = random.Random(seed)
         for i in range(count):
@@ -470,18 +464,18 @@ def hunt(config: Mapping[str, object]) -> HuntReport:
             p_digon = master.uniform(0.0, 0.45)
             p_simple = master.uniform(0.0, 0.5)
             d = random_digraph(n_max, p_digon, p_simple, seed=inst_seed)
-            jobs.append((f"random-n{n_max}-{i:05d}", inst_seed, d, eps))
+            jobs.append((d, eps, f"random-n{n_max}-{i:05d}", inst_seed))
     else:
         for n in range(1, n_max + 1):
             for i, d in enumerate(nonisomorphic_digraphs(n, str(family))):
-                jobs.append((f"{family}-n{n}-{i:05d}", None, d, eps))
+                jobs.append((d, eps, f"{family}-n{n}-{i:05d}", None))
 
     workers = _workers()
     if workers > 1 and len(jobs) > 8:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(_verify_job, jobs, chunksize=8))
+            records = tuple(pool.map(verify_instance, *zip(*jobs), chunksize=8))
     else:
-        records = tuple(_verify_job(job) for job in jobs)
+        records = tuple(verify_instance(*job) for job in jobs)
     violations = tuple(
         r.instance_id for r in records if not r.holds[str(bound)]
     )

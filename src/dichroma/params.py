@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from itertools import combinations
+from typing import Iterator, Optional
 
-from .digraph import Digraph
+from .digraph import Digraph, Graph
 from .errors import CapExceeded, InternalInconsistency, InvalidParameter
 from .exactmath import ceil_sqrt
 
@@ -144,62 +145,56 @@ def biclique_report(d: Digraph, cap: int = 10**6) -> BicliqueReport:
     omega = max(len(c) for c in cliques)
     maximum = sorted((c for c in cliques if len(c) == omega), key=sorted)
 
-    # connected components of the intersection graph of the maximum bicliques
-    parent = list(range(len(maximum)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(maximum)):
-        for j in range(i + 1, len(maximum)):
-            if maximum[i] & maximum[j]:
-                parent[find(i)] = find(j)
-    groups: dict[int, list[frozenset[int]]] = {}
-    for i, c in enumerate(maximum):
-        groups.setdefault(find(i), []).append(c)
+    # components of the intersection graph of the maximum bicliques, each in
+    # index order; connected_components yields them by least index
+    pairs = combinations(range(len(maximum)), 2)
+    meets = Graph(len(maximum), [(i, j) for i, j in pairs if maximum[i] & maximum[j]])
     components = tuple(
-        tuple(g) for g in sorted(groups.values(), key=lambda g: sorted(g[0]))
+        tuple(maximum[i] for i in sorted(c)) for c in meets.connected_components()
     )
     return BicliqueReport(omega, tuple(maximum), components)
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def directed_clique_number(d: Digraph, omega_bi: Optional[int] = None) -> int:
     """Largest |X1| + |X2| with X1, X2 bicliques and every arc from X1 to X2.
 
-    Exact three-way branch per vertex (skip, join X1, join X2), pruned by the
-    remaining-vertex count and by |X1|, |X2| <= biclique number; pass
-    omega_bi when it is already known.
+    The clique number of a graph on two copies of V: copy v means v in X1,
+    copy v + n means v in X2.  Copies on one side are adjacent when their
+    vertices form a digon, copy v is adjacent to copy w + n when v -> w, and
+    the two copies of a vertex never are.  Maximum clique by explicit-stack
+    branch and bound over 2n-bit masks: start at best = omega_bi (X2 empty),
+    branch on the candidates outside a pivot's neighbourhood, prune when the
+    clique plus the vertices left (either copy, counted once) cannot beat
+    best, and stop at min(n, 2 * omega_bi).  Pass omega_bi when known.
     """
-    if d.n == 0:
-        return 0
+    n = d.n
     omega = biclique_report(d).omega_bi if omega_bi is None else omega_bi
-    best = omega  # X2 empty, X1 a maximum biclique
-    digons = tuple(d.digon_neighbours(v) for v in range(d.n))
-
-    def branch(idx: int, x1: list[int], x2: list[int]) -> None:
-        nonlocal best
-        size = len(x1) + len(x2)
-        best = max(best, size)
-        if idx == d.n:
-            return
-        room = min(d.n - idx, (omega - len(x1)) + (omega - len(x2)))
-        if size + room <= best:
-            return
-        v = idx
-        if all(v in digons[u] for u in x1) and all(d.has_arc(v, w) for w in x2):
-            x1.append(v)
-            branch(idx + 1, x1, x2)
-            x1.pop()
-        if all(v in digons[u] for u in x2) and all(d.has_arc(u, v) for u in x1):
-            x2.append(v)
-            branch(idx + 1, x1, x2)
-            x2.pop()
-        branch(idx + 1, x1, x2)
-
-    branch(0, [], [])
+    top = min(n, 2 * omega)  # X1 and X2 are disjoint bicliques
+    if omega == top:
+        return omega
+    out, inn = ([sum(1 << w for w in a) for a in nbrs] for nbrs in (d.out_adj, d.in_adj))
+    adj = [o & i | o << n for o, i in zip(out, inn)]
+    adj += [(o & i) << n | i for o, i in zip(out, inn)]
+    best, low = omega, (1 << n) - 1
+    stack = [(0, (1 << 2 * n) - 1)]  # clique size, candidate copies
+    while stack and best < top:
+        r, p = stack.pop()
+        if r + ((p | p >> n) & low).bit_count() <= best:
+            continue
+        best = max(best, r + 1)
+        pivot = max(_bits(p), key=lambda u: (p & adj[u]).bit_count())
+        for v in _bits(p & ~adj[pivot]):
+            p ^= 1 << v
+            if p & adj[v]:
+                stack.append((r + 1, p & adj[v]))
     return best
 
 
@@ -214,20 +209,36 @@ def reed_bound(profile: DegreeProfile, omega_bi: int) -> int:
     return (t_min + omega_bi) // 2 + 1
 
 
+def _eps_ratio(omega: int, eps) -> tuple[int, int]:
+    """Numerator and denominator of eps, once omega >= 0 and 0 < eps < 1."""
+    if omega < 0:
+        raise InvalidParameter("clique number must be non-negative")
+    if isinstance(eps, float):
+        raise InvalidParameter("eps must be an exact rational, not a float")
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise InvalidParameter("eps must satisfy 0 < eps < 1")
+    return eps.numerator, eps.denominator
+
+
 def epsilon_bound(profile: DegreeProfile, omega_bi: int, eps: Fraction) -> int:
     """ceil((1-e)(x+1) + e*w) with x as in reed_bound, exactly for rational e.
 
     With e = p/q and a = q - p the target is the least k with
     q*k - a - p*w >= a*x, settled by comparing squares since a*x >= 0.
     """
-    if omega_bi < 0:
-        raise InvalidParameter("biclique number must be non-negative")
-    if isinstance(eps, float):
-        raise InvalidParameter("eps must be an exact rational, not a float")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise InvalidParameter("eps must satisfy 0 < eps < 1")
-    p, q = eps.numerator, eps.denominator
+    p, q = _eps_ratio(omega_bi, eps)
     a = q - p
     t_min = ceil_sqrt(a * a * profile.delta_tilde_sq)
     return (t_min + a + p * omega_bi + q - 1) // q
+
+
+def delmin_bound(profile: DegreeProfile, omega: int, eps: Fraction) -> int:
+    """ceil((1-e) * delta_min + e*w), exactly for rational e.
+
+    w is the directed clique number for the min-degree bound and twice the
+    biclique number for its digon variant.  With e = p/q this is
+    ceil(((q - p) * delta_min + p*w) / q).
+    """
+    p, q = _eps_ratio(omega, eps)
+    return ((q - p) * profile.delta_min + p * omega + q - 1) // q

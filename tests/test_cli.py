@@ -235,3 +235,34 @@ def test_python_m_matches_main(capsys, triangle, module) -> None:
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout == expected
+
+
+_BAD_SIDE_FILES = {
+    "list-malformed-json": ("dicolor", "{bad"),
+    "list-truncated-json": ("dicolor", "[[0], [1"),
+    "list-of-strings": ("dicolor", '["ab", "cd", "ef"]'),
+    "list-of-ints": ("dicolor", "[1, 2, 3]"),
+    "list-float-colour": ("dicolor", "[[0], [1.5], [0]]"),
+    "list-string-colour": ("dicolor", '[[0], ["1"], [0]]'),
+    "list-non-numeric-key": ("dicolor", '{"zero": [0], "1": [1], "2": [0]}'),
+    "list-bare-colour": ("dicolor", '{"0": [0], "1": 1, "2": [0]}'),
+    "list-nested-too-deep": ("dicolor", "[" * 100_000 + "]" * 100_000),
+    "parts-malformed-json": ("asr", "{bad"),
+    "parts-of-ints": ("asr", "[1, 2, 3]"),
+    "parts-string-vertex": ("asr", '[["0"], [1], [2]]'),
+    "parts-float-vertex": ("asr", "[[0.0], [1], [2]]"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SIDE_FILES))
+def test_bad_side_files_exit_2(capsys, tmp_path, triangle, case) -> None:
+    command, content = _BAD_SIDE_FILES[case]
+    side = tmp_path / "side.json"
+    side.write_text(content, encoding="ascii")
+    if command == "dicolor":
+        argv = ["dicolor", triangle, "--list", str(side)]
+    else:
+        argv = ["asr", triangle, "--parts", str(side), "--k", "1"]
+    code, out, err = _run(capsys, argv)
+    assert code == 2 and out is None
+    assert err["error"] == "InvalidParameter"

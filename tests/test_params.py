@@ -1,6 +1,8 @@
 """Degree, density and clique parameters against independent references."""
 
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,6 +23,7 @@ from dichroma.params import (
     DegreeProfile,
     biclique_report,
     degree_profile,
+    delmin_bound,
     density_report,
     directed_clique_number,
     epsilon_bound,
@@ -137,6 +140,8 @@ def test_directed_clique_number_examples() -> None:
     tt = Digraph(3, [(0, 1), (0, 2), (1, 2)])
     assert directed_clique_number(tt) == 2
     assert directed_clique_number(Digraph(1, [])) == 1
+    assert directed_clique_number(complete_digraph(40)) == 40
+    assert directed_clique_number(obstruction(9, 3)) == 6
 
 
 @settings(max_examples=80, deadline=None)
@@ -148,7 +153,20 @@ def test_directed_clique_number_brute(n: int, seed: int) -> None:
     assert directed_clique_number(d) == _directed_clique_brute(d)
 
 
-def _profile(dts: int) -> DegreeProfile:
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_directed_clique_number_deeper_than_the_recursion_limit(seed: int) -> None:
+    # a bidirected path has no triangle in its underlying graph, so its own
+    # directed clique number is 2; a disjoint dense piece settles the rest,
+    # since X1 and X2 each lie in one component and every X1 -> X2 arc joins them
+    n = max(2000, 3 * sys.getrecursionlimit())
+    piece = random_digraph(8, 0.5, 0.3, seed=seed)
+    path = [(v, v + 1) for v in range(n - 9)] + [(v + 1, v) for v in range(n - 9)]
+    moved = [(u + n - 8, v + n - 8) for u, v in piece.arcs]
+    d = Digraph(n, path + moved)
+    assert directed_clique_number(d) == max(2, _directed_clique_brute(piece))
+
+
+def _profile(dts: int, delta_min: int = 0) -> DegreeProfile:
     return DegreeProfile(
         d_out=(0,),
         d_in=(0,),
@@ -156,7 +174,7 @@ def _profile(dts: int) -> DegreeProfile:
         d_min=(0,),
         geo_sq=(dts,),
         delta_max=0,
-        delta_min=0,
+        delta_min=delta_min,
         delta_plus=0,
         delta_tilde_sq=dts,
     )
@@ -205,6 +223,36 @@ def test_epsilon_bound_is_outward_rounded(dts: int, omega: int, eps: Fraction) -
         hi = int(mpmath.ceil(value + mpmath.mpf("1e-30")))
     got = epsilon_bound(_profile(dts), omega, eps)
     assert lo <= got <= hi + 1
+
+
+def test_delmin_bound_worked_examples() -> None:
+    # bidirected K4: delta_min 3, directed clique number 4 -> ceil(3/2 + 2)
+    assert delmin_bound(_profile(0, 3), 4, Fraction(1, 2)) == 4
+    # exact value, no rounding: 3/2 + 5/2 = 4
+    assert delmin_bound(_profile(0, 3), 5, Fraction(1, 2)) == 4
+    # bidirected C5 at eps 99/100: ceil(2/100 + 198/100) = 2, digon variant
+    # with 2 * omega_bi = 4: ceil(2/100 + 396/100) = 4
+    assert delmin_bound(_profile(0, 2), 2, Fraction(99, 100)) == 2
+    assert delmin_bound(_profile(0, 2), 4, Fraction(99, 100)) == 4
+    assert delmin_bound(_profile(0, 5), 4, Fraction(1, 3)) == 5  # ceil(14/3)
+    assert delmin_bound(_profile(0, 7), 1, Fraction(1, 4)) == 6  # ceil(11/2)
+    assert delmin_bound(_profile(0, 0), 0, Fraction(1, 2)) == 0
+    for eps in (0.5, Fraction(0), Fraction(1), Fraction(3, 2)):
+        with pytest.raises(InvalidParameter):
+            delmin_bound(_profile(0, 3), 4, eps)
+    with pytest.raises(InvalidParameter):
+        delmin_bound(_profile(0, 3), -1, Fraction(1, 2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    st.fractions(min_value=Fraction(1, 10**4), max_value=Fraction(9999, 10**4)),
+)
+def test_delmin_bound_is_the_exact_ceiling(dmin: int, omega: int, eps: Fraction) -> None:
+    want = math.ceil((1 - eps) * dmin + eps * omega)
+    assert delmin_bound(_profile(0, dmin), omega, eps) == want
 
 
 def test_is_b_sparse_monotone() -> None:
