@@ -17,10 +17,11 @@ is the symmetric lexicographic product of an odd cycle (length >= 5) by a
 complete digraph.  The recursion strips vertices outside all maximum
 bicliques, hits intersecting families through acyclic_hitting_set, and on a
 family with empty intersection finds the chain of half-size bicliques
-Q_1..Q_n, then either recognizes the product digraph or contracts the chain
-and lifts the recursive answer back.  Every structural step is validated;
-a failed validation falls back to the exhaustive oracle on small instances
-and is a hard error otherwise.
+Q_1..Q_n.  A closed chain is the product digraph exactly when sending Q_i to
+block i maps the arcs onto the product's; an open chain is contracted and the
+recursive answer lifted back.  Every structural step is validated; a failed
+validation falls back to the exhaustive oracle on small instances and is a
+hard error otherwise.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .canon import find_isomorphism
 from .digraph import Digraph, obstruction
 from .errors import (
     InstanceTooLarge,
@@ -316,14 +316,8 @@ def acyclic_hitting_set(
                 raise PreconditionViolated(
                     f"vertex {v}: outside-degree bounds fail"
                 )
-    reduced = Digraph(
-        d.n,
-        (
-            (u, v)
-            for u, v in d.arcs
-            if all(not (u in part and v in part) for part in parts)
-        ),
-    )
+    part_of = {v: i for i, part in enumerate(parts) for v in part}
+    reduced = Digraph(d.n, ((u, v) for u, v in d.arcs if part_of[u] != part_of[v]))
     result = find_asr(ASRInstance(reduced, parts, k))
     if not d.is_acyclic(result):
         raise InternalInconsistency("hitting set is cyclic in the original")
@@ -370,7 +364,7 @@ def biclique_transversal(d: Digraph, delta: int) -> TransversalOutcome:
 
 def _validate_outcome(d: Digraph, omega: int, outcome: TransversalOutcome) -> None:
     if outcome.hitting_set is None:
-        return  # the isomorphism was verified on construction
+        return  # _product_isomorphism compared every arc with the product
     hit = outcome.hitting_set
     if not d.is_acyclic(hit):
         raise _StructureMismatch("hitting set is not acyclic")
@@ -379,9 +373,7 @@ def _validate_outcome(d: Digraph, omega: int, outcome: TransversalOutcome) -> No
         raise _StructureMismatch("biclique number did not drop by one")
 
 
-def _transversal_fallback(
-    d: Digraph, omega: int, cause: Exception
-) -> TransversalOutcome:
+def _transversal_fallback(d: Digraph, omega: int, cause: Exception) -> TransversalOutcome:
     if d.n > 14:
         raise InternalInconsistency(
             "structural recursion failed beyond oracle reach"
@@ -394,15 +386,14 @@ def _transversal_fallback(
         except _StructureMismatch as exc:
             raise InternalInconsistency("oracle set failed validation") from exc
         return outcome
-    p = omega // 2
-    if omega % 2 == 0 and p >= 1 and d.n == p * (d.n // p):
-        n_cycle = d.n // p
-        if n_cycle >= 5 and n_cycle % 2 == 1:
-            iso = find_isomorphism(d, obstruction(n_cycle, p))
-            if iso is not None:
-                return TransversalOutcome(
-                    obstruction=(n_cycle, p), isomorphism=iso
-                )
+    try:  # the product's maximum bicliques form one closed chain
+        family = biclique_report(d).components[0]
+        q_parts, cyclic = _chain_partition(family, omega // 2)
+        shape = _handle_cycle_chain(d, q_parts) if cyclic else None
+    except _StructureMismatch:
+        shape = None
+    if shape is not None and shape.obstruction is not None:
+        return shape
     raise InternalInconsistency(
         "no transversal exists yet the shape is not the known product"
     ) from cause
@@ -422,7 +413,7 @@ def _transversal_structural(d, delta, rep) -> TransversalOutcome:
         raise _StructureMismatch("empty intersection off the tight regime")
     q_parts, cyclic = _chain_partition(component, omega // 2)
     if cyclic:
-        return _handle_cycle_chain(d, q_parts, omega // 2)
+        return _handle_cycle_chain(d, q_parts)
     return _handle_path_chain(d, delta, q_parts, omega // 2)
 
 
@@ -515,11 +506,28 @@ def _chain_partition(
     return q, cyclic
 
 
-def _handle_cycle_chain(d, q_parts, p) -> TransversalOutcome:
-    n = len(q_parts)
-    if frozenset().union(*q_parts) != frozenset(range(d.n)):
-        raise _StructureMismatch("closed chain does not exhaust the digraph")
-    iso = find_isomorphism(d, obstruction(n, p))
+def _product_isomorphism(d: Digraph, q_parts) -> Optional[dict[int, int]]:
+    """The map onto obstruction(n, p) that n parts of size p in cyclic order
+    spell out, or None unless it carries the arcs exactly.  The j-th least
+    vertex of the i-th part goes to i * p + j, counting from the part with
+    the least vertex towards its neighbour with the smaller least vertex, so
+    the product itself maps to the identity."""
+    n, p = len(q_parts), len(q_parts[0])
+    lows = [min(q) for q in q_parts]
+    s = lows.index(min(lows))
+    order = q_parts[s:] + q_parts[:s]
+    if lows[s - 1] < lows[(s + 1) % n]:
+        order = order[:1] + order[:0:-1]
+    iso = {v: i * p + j for i, q in enumerate(order) for j, v in enumerate(sorted(q))}
+    if n < 3 or any(len(q) != p for q in q_parts) or sorted(iso) != list(range(d.n)):
+        return None
+    arcs = {(iso[u], iso[w]) for u, w in d.arcs}
+    return iso if arcs == obstruction(n, p).arcs else None
+
+
+def _handle_cycle_chain(d, q_parts) -> TransversalOutcome:
+    n, p = len(q_parts), len(q_parts[0])
+    iso = _product_isomorphism(d, q_parts)
     if iso is None:
         raise _StructureMismatch("closed chain is not the product digraph")
     if n % 2 == 1:
@@ -549,18 +557,10 @@ def _handle_path_chain(d, delta, q_parts, p) -> TransversalOutcome:
 
     outcome = biclique_transversal(d_prime, delta)
     if outcome.obstruction is not None:
-        n_sub, p_sub = outcome.obstruction
-        if p_sub != p:
-            raise _StructureMismatch("contracted shape has the wrong width")
-        total = n_sub + n - 2
-        iso = find_isomorphism(d, obstruction(total, p))
-        if iso is None:
-            raise _StructureMismatch("lifted shape is not the product digraph")
-        if total % 2 == 1:
-            return TransversalOutcome(obstruction=(total, p), isomorphism=iso)
-        inverse_iso = {pos: v for v, pos in iso.items()}
-        hit = frozenset(inverse_iso[j * p] for j in range(0, total, 2))
-        return TransversalOutcome(hitting_set=hit)
+        # were d the product, its maximum bicliques would close a chain and
+        # _handle_cycle_chain would have run; so d has a transversal that
+        # this lift cannot build, and only the fallback can answer
+        raise _StructureMismatch("contraction is the product, d is not")
 
     lifted = frozenset(inverse[v] for v in outcome.hitting_set)
     ends = lifted & (q_parts[0] | q_parts[-1])

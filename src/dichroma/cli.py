@@ -37,7 +37,8 @@ from .sparse import sparse_dicolour
 
 
 def _read_digraph(path: str) -> Digraph:
-    with open(path, "r", encoding="ascii") as handle:
+    # surrogateescape hands non-ASCII bytes on to parse_dgf, which locates them
+    with open(path, "r", encoding="ascii", errors="surrogateescape") as handle:
         return parse_dgf(handle.read())
 
 

@@ -40,9 +40,9 @@ def parse_dgf(text: str) -> Digraph:
     arcs: list[tuple[int, int]] = []
     lineno = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        for column, ch in enumerate(raw, start=1):
-            if ord(ch) > 127:
-                raise ParseError("non-ASCII byte", lineno, column)
+        if not raw.isascii():
+            column = next(i for i, ch in enumerate(raw, start=1) if ord(ch) > 127)
+            raise ParseError("non-ASCII byte", lineno, column)
         cut = raw.find("#")
         line = raw if cut < 0 else raw[:cut]
         parts = list(_tokens(line))

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterator, Optional
 
 from .digraph import Digraph, Graph
@@ -146,9 +145,14 @@ def biclique_report(d: Digraph, cap: int = 10**6) -> BicliqueReport:
     maximum = sorted((c for c in cliques if len(c) == omega), key=sorted)
 
     # components of the intersection graph of the maximum bicliques, each in
-    # index order; connected_components yields them by least index
-    pairs = combinations(range(len(maximum)), 2)
-    meets = Graph(len(maximum), [(i, j) for i, j in pairs if maximum[i] & maximum[j]])
+    # index order; connected_components yields them by least index.  Linking
+    # the first biclique through each vertex to the others through it keeps
+    # the components of the all-pairs graph at linear cost
+    holders: list[list[int]] = [[] for _ in range(d.n)]
+    for i, c in enumerate(maximum):
+        for v in c:
+            holders[v].append(i)
+    meets = Graph(len(maximum), [(ids[0], j) for ids in holders for j in ids[1:]])
     components = tuple(
         tuple(maximum[i] for i in sorted(c)) for c in meets.connected_components()
     )

@@ -166,10 +166,22 @@ def dichoosable_brute(n: int, arcs, k: int, universe: Optional[int] = None) -> b
             yield from assignments(prefix, max(used, top))
             prefix.pop()
 
-    for lists in assignments([], 0):
-        if not list_colourable_brute(n, arcs, lists):
-            return False
-    return True
+    # acyclic[s]: the vertex set with bitmask s is acyclic; acyclicity passes
+    # to subsets, so a colour class may grow only through acyclic masks
+    acyclic_sets = [
+        acyclic(n, arcs, [v for v in range(n) if s >> v & 1]) for s in range(1 << n)
+    ]
+
+    def colourable(lists: list[frozenset[int]], v: int, classes: dict[int, int]) -> bool:
+        if v == n:
+            return True
+        for c in lists[v]:
+            grown = classes.get(c, 0) | 1 << v
+            if acyclic_sets[grown] and colourable(lists, v + 1, {**classes, c: grown}):
+                return True
+        return False
+
+    return all(colourable(lists, 0, {}) for lists in assignments([], 0))
 
 
 def isomorphic(n1: int, arcs1, n2: int, arcs2) -> bool:

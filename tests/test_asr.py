@@ -7,6 +7,8 @@ import pytest
 
 from dichroma.asr import (
     ASRInstance,
+    _product_isomorphism,
+    _transversal_fallback,
     GoodTriplet,
     TransversalOutcome,
     acyclic_hitting_set,
@@ -257,3 +259,54 @@ def test_transversal_matches_oracle_sweep() -> None:
         else:
             _check_hitting(d, outcome)
     assert checked >= 60
+
+
+def _relabelled(d: Digraph, seed: int) -> Digraph:
+    perm = list(range(d.n))
+    random.Random(seed).shuffle(perm)
+    return Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs])
+
+
+@pytest.mark.parametrize("n_cycle, p", [(5, 3), (7, 2), (9, 2), (11, 1)])
+def test_relabelled_odd_products_return_the_shape(n_cycle: int, p: int) -> None:
+    d = _relabelled(obstruction(n_cycle, p), 100 * n_cycle + p)
+    outcome = biclique_transversal(d, 3 * p - 1)
+    assert outcome.obstruction == (n_cycle, p)
+    _check_shape(d, outcome)
+
+
+@pytest.mark.parametrize("n_cycle, p", [(6, 3), (8, 3)])
+def test_relabelled_even_products_are_hit(n_cycle: int, p: int) -> None:
+    d = _relabelled(obstruction(n_cycle, p), 100 * n_cycle + p)
+    _check_hitting(d, biclique_transversal(d, 3 * p - 1))
+
+
+def _blocks(n_cycle: int, p: int) -> list[frozenset[int]]:
+    return [frozenset(range(i * p, (i + 1) * p)) for i in range(n_cycle)]
+
+
+def test_product_isomorphism_is_the_identity_on_the_product() -> None:
+    d = obstruction(7, 2)
+    assert _product_isomorphism(d, _blocks(7, 2)) == {v: v for v in range(14)}
+    # the same cycle of parts, rotated and reflected, reads the same map
+    turned = _blocks(7, 2)[3::-1] + _blocks(7, 2)[:3:-1]
+    assert _product_isomorphism(d, turned) == {v: v for v in range(14)}
+
+
+def test_product_isomorphism_rejects_near_products() -> None:
+    d = obstruction(7, 2)
+    parts = _blocks(7, 2)
+    no_digon = Digraph(d.n, d.arcs - {(1, 2), (2, 1)})
+    assert _product_isomorphism(no_digon, parts) is None
+    extra_arc = d.add_arcs([(0, 4)])
+    assert _product_isomorphism(extra_arc, parts) is None
+    swapped = parts[:1] + [parts[2], parts[1]] + parts[3:]
+    assert _product_isomorphism(d, swapped) is None
+
+
+@pytest.mark.parametrize("n_cycle", [5, 7])
+def test_fallback_names_the_relabelled_product(n_cycle: int) -> None:
+    d = _relabelled(obstruction(n_cycle, 1), n_cycle)
+    outcome = _transversal_fallback(d, 2, ValueError("forced"))
+    assert outcome.obstruction == (n_cycle, 1)
+    _check_shape(d, outcome)

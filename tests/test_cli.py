@@ -266,3 +266,13 @@ def test_bad_side_files_exit_2(capsys, tmp_path, triangle, case) -> None:
     code, out, err = _run(capsys, argv)
     assert code == 2 and out is None
     assert err["error"] == "InvalidParameter"
+
+
+@pytest.mark.parametrize("command", ["params", "dicolor", "transversal"])
+def test_non_ascii_dgf_exit_2(capsys, tmp_path, command) -> None:
+    path = tmp_path / "accent.dgf"
+    path.write_bytes(b"n 3\n0 1 \xc3\xa9\n")
+    code, out, err = _run(capsys, [command, str(path)])
+    assert code == 2 and out is None
+    assert err["error"] == "ParseError"
+    assert "line 2, column 5" in err["message"] and "non-ASCII" in err["message"]

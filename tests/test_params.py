@@ -4,7 +4,9 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,6 +102,36 @@ def test_omega_bi_is_symmetric_clique_number(n: int, seed: int) -> None:
         (u, v) for u in range(n) for v in range(u) if d.has_digon(u, v)
     ]
     assert biclique_report(d).omega_bi == max(clique_number(n, digons), 1 if n else 0)
+
+
+def _pairwise_components(maximum) -> tuple:
+    """Components of the all-pairs intersection graph, by least index."""
+    g = nx.Graph()
+    g.add_nodes_from(range(len(maximum)))
+    g.add_edges_from(
+        (i, j) for i, j in combinations(range(len(maximum)), 2) if maximum[i] & maximum[j]
+    )
+    groups = sorted(sorted(c) for c in nx.connected_components(g))
+    return tuple(tuple(maximum[i] for i in c) for c in groups)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 10), st.integers(0, 2**30))
+def test_biclique_components_match_pairwise_grouping(n: int, seed: int) -> None:
+    rng = random.Random(seed)
+    pd = rng.random() * 0.8
+    d = random_digraph(n, pd, rng.random() * (0.95 - pd), seed=seed)
+    rep = biclique_report(d)
+    assert rep.components == _pairwise_components(rep.maximum_bicliques)
+
+
+def test_biclique_components_on_a_long_digon_free_chain() -> None:
+    from .test_solver import triangle_chain
+
+    rep = biclique_report(triangle_chain(1500))
+    assert rep.omega_bi == 1
+    assert rep.maximum_bicliques == tuple(frozenset({v}) for v in range(1500))
+    assert rep.components == _pairwise_components(rep.maximum_bicliques)
 
 
 def test_biclique_cap_counts_maximal_cliques() -> None:
