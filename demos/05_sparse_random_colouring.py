@@ -44,8 +44,8 @@ print(f"E[X_0] ~ {est.mean_x:.3f}  E[Y_0] ~ {est.mean_y:.3f}  E[Z_0] ~ {est.mean
 partial = sample_partial(d, ell=0, max_tries=16, seed=3)
 print("sampled partial colouring found:", partial is not None)
 
-# The end-to-end routine: regularize, sample, then complete greedily.
-# The palette never exceeds Delta + 1 - floor(B / (4 e^7 Delta)).
+# The end-to-end routine: sample the digraph itself, then complete
+# greedily.  The palette never exceeds Delta + 1 - floor(B / (4 e^7 Delta)).
 col = sparse_dicolour(d, b=min(report.bv), seed=5)
 print("sparse dicolouring uses", len(set(col.assignment.values())), "colours")
 print("valid:", is_valid(d, col, require_total=True))

@@ -311,6 +311,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as err:
         sys.stderr.write(emit_json({"error": "OSError", "message": str(err)}))
         return 2
+    except Exception as err:  # a bug; exit 1 stays reserved for a violated bound
+        message = f"{type(err).__name__}: {err}"
+        sys.stderr.write(emit_json({"error": "InternalError", "message": message}))
+        return 2
 
 
 def entry() -> None:

@@ -318,15 +318,7 @@ def dense_reduce_theorem(d: Digraph, a, eps) -> DenseReport:
         "matching_plus_exposed": 6 * (len(matching) + len(exposed))
         <= 5 * (part.delta + 1),
     }
-    base_for_colour = Dicolouring(
-        k,
-        {
-            u: base.assignment[u]
-            for u in range(d.n)
-            if u not in part.n3
-        },
-    )
-    colouring = _colour_core(d, part, k, base_for_colour)
+    colouring = _colour_core(d, part, k, base)
     achieved = colouring is not None and colouring.k <= k
     return DenseReport(
         v, side, delta, k, degree_ok, biclique_ok, claims, colouring, achieved

@@ -15,7 +15,10 @@ from __future__ import annotations
 import random
 from typing import Iterable, Optional
 
-from .errors import InvalidParameter, InvalidVertex, SelfLoop
+from .errors import InstanceTooLarge, InvalidParameter, InvalidVertex, SelfLoop
+
+MAX_VERTICES = 1 << 15
+"""Largest vertex count a Digraph accepts; checked before any allocation."""
 
 
 class Graph:
@@ -85,6 +88,8 @@ class Digraph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
             raise InvalidParameter("vertex count must be non-negative")
+        if n > MAX_VERTICES:
+            raise InstanceTooLarge(f"{n} vertices is past the cap of {MAX_VERTICES}")
         out_adj = [set() for _ in range(n)]
         in_adj = [set() for _ in range(n)]
         for u, v in arcs:
@@ -232,25 +237,24 @@ def random_digraph(n: int, p_digon: float, p_simple: float, seed) -> Digraph:
     if p_digon < 0 or p_simple < 0 or p_digon + p_simple > 1:
         raise InvalidParameter("probabilities must be non-negative with sum <= 1")
     rng = random.Random(seed)
-    arcs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            x = rng.random()
-            if x < p_digon:
-                arcs.append((u, v))
-                arcs.append((v, u))
-            elif x < p_digon + p_simple:
-                arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-    return Digraph(n, arcs)
+
+    def arcs():  # lazy, so Digraph checks n before any pair is drawn
+        for u in range(n):
+            for v in range(u + 1, n):
+                x = rng.random()
+                if x < p_digon:
+                    yield u, v
+                    yield v, u
+                elif x < p_digon + p_simple:
+                    yield (u, v) if rng.random() < 0.5 else (v, u)
+
+    return Digraph(n, arcs())
 
 
 def random_tournament(n: int, seed) -> Digraph:
     rng = random.Random(seed)
-    arcs = []
-    for u in range(n):
-        for v in range(u + 1, n):
-            arcs.append((u, v) if rng.random() < 0.5 else (v, u))
-    return Digraph(n, arcs)
+    pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
+    return Digraph(n, ((u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs))
 
 
 def obstruction(n_cycle: int, p: int) -> Digraph:
@@ -265,15 +269,17 @@ def obstruction(n_cycle: int, p: int) -> Digraph:
         raise InvalidParameter("the cycle length must be at least 3")
     if p < 1:
         raise InvalidParameter("part size must be at least 1")
-    part = [range(i * p, (i + 1) * p) for i in range(n_cycle)]
-    arcs = []
-    for i in range(n_cycle):
-        for u in part[i]:
-            for v in part[i]:
-                if u != v:
-                    arcs.append((u, v))
-            for v in part[(i + 1) % n_cycle]:
-                arcs.append((u, v))
-                arcs.append((v, u))
-    return Digraph(n_cycle * p, arcs)
+
+    def arcs():  # lazy, so Digraph checks n before any arc is listed
+        part = [range(i * p, (i + 1) * p) for i in range(n_cycle)]
+        for i in range(n_cycle):
+            for u in part[i]:
+                for v in part[i]:
+                    if u != v:
+                        yield u, v
+                for v in part[(i + 1) % n_cycle]:
+                    yield u, v
+                    yield v, u
+
+    return Digraph(n_cycle * p, arcs())
 

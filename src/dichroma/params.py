@@ -116,23 +116,23 @@ def is_b_sparse(d: Digraph, b: int) -> bool:
 
 
 def _maximal_cliques(adj: tuple[frozenset[int], ...], cap: int) -> list[frozenset[int]]:
-    """All maximal cliques, pivoted branch and bound; CapExceeded past cap."""
+    """All maximal cliques, pivoted Bron-Kerbosch on an explicit stack of
+    (clique, candidates, excluded) bitmasks; CapExceeded past cap."""
+    masks = [sum(1 << w for w in a) for a in adj]
     out: list[frozenset[int]] = []
-
-    def extend(r: set[int], p: set[int], x: set[int]) -> None:
-        if not p and not x:
-            out.append(frozenset(r))
+    stack = [(0, (1 << len(adj)) - 1, 0)] if adj else []
+    while stack:
+        r, p, x = stack.pop()
+        if not p | x:
+            out.append(frozenset(_bits(r)))
             if len(out) > cap:
                 raise CapExceeded(f"more than {cap} maximal cliques")
-            return
-        pivot = max(p | x, key=lambda u: len(adj[u] & p))
-        for v in list(p - adj[pivot]):
-            extend(r | {v}, p & adj[v], x & adj[v])
-            p.discard(v)
-            x.add(v)
-
-    if adj:
-        extend(set(), set(range(len(adj))), set())
+            continue
+        pivot = max(_bits(p | x), key=lambda u: (masks[u] & p).bit_count())
+        for v in _bits(p & ~masks[pivot]):
+            stack.append((r | 1 << v, p & masks[v], x & masks[v]))
+            p ^= 1 << v
+            x |= 1 << v
     return out
 
 

@@ -1,11 +1,11 @@
-"""Random partial dicolouring of sparse diregular digraphs.
+"""Random partial dicolouring of sparse digraphs.
 
 The pipeline colours every vertex uniformly from a half-degree palette,
 then simultaneously uncolours each vertex with a same-coloured in-neighbour
 and a same-coloured out-neighbour.  What survives is a valid partial
-colouring, and on B-sparse digraphs every vertex keeps, in expectation,
-enough repeated colours on one side of its neighbourhood to feed the greedy
-completion with palette Delta + 1 - ell.
+colouring of any digraph, and on B-sparse digraphs every vertex keeps, in
+expectation, enough repeated colours on one side of its neighbourhood to
+feed the greedy completion with palette Delta + 1 - ell.
 
 Per vertex the chosen side N_v is the neighbourhood with fewer internal
 arcs; a colour contributes to Y_v when it lands on a digon-free pair of
@@ -13,6 +13,10 @@ N_v, to X_v when such a pair is retained, and Z_v = Y_v - X_v charges the
 uncolouring.  The existential argument is replaced by bounded resampling:
 a trial either meets the target X_v >= ell everywhere or is redrawn whole,
 keeping trials independent and the estimators unbiased.
+
+sparse_dicolour samples the input itself, not a diregularisation of it:
+regularity only makes the repeat target likely, and the target is checked
+on every accepted trial.  diregularize stays as an experimental object.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .digraph import Digraph
+from .digraph import MAX_VERTICES, Digraph
 from .errors import (
     InstanceTooLarge,
     InternalInconsistency,
@@ -170,10 +174,10 @@ def diregularize(d: Digraph, delta: int) -> Digraph:
         rounds = delta - min(
             min(d.out_degree(v), d.in_degree(v)) for v in range(d.n)
         )
-        if d.n << max(rounds, 0) > 1 << 15:
+        if d.n << max(rounds, 0) > MAX_VERTICES:
             raise InstanceTooLarge(
                 f"regularization needs {rounds} doubling rounds from "
-                f"{d.n} vertices; refusing to build past 32768"
+                f"{d.n} vertices; refusing to build past {MAX_VERTICES}"
             )
     current = d
     for _ in range(delta + 1):
@@ -200,7 +204,13 @@ def sparse_dicolour(
 ) -> Optional[Dicolouring]:
     """A dicolouring of a B-sparse digraph with at most
     Delta + 1 - floor(B / (4 e^7 Delta)) colours, or None when every
-    sampling attempt misses the repeat target."""
+    sampling attempt misses the repeat target.
+
+    Trials are drawn on d itself.  The retained part is a valid partial
+    colouring of any digraph, greedy completion avoids one whole side of
+    each vertex's coloured neighbours, and the ell repeats of an accepted
+    trial keep a colour of the palette free; with ell = 0, which holds for
+    every Delta < 4388, every trial is accepted."""
     if b < 0:
         raise InvalidParameter("sparsity bound must be non-negative")
     if not is_b_sparse(d, b):
@@ -212,21 +222,15 @@ def sparse_dicolour(
         # too few colours for a trial; these digraphs are exactly solvable
         return optimal_dicolouring(d)
     ell = floor_div_e7(b, 4 * delta)
-    regular = diregularize(d, delta)
-    if not is_b_sparse(regular, b):
-        raise InternalInconsistency("regularized digraph lost B-sparsity")
-    partial = sample_partial(regular, ell, max_tries, seed)
+    partial = sample_partial(d, ell, max_tries, seed)
     if partial is None:
         return None
-    total = greedy_complete(regular, partial, delta // 2, ell)
-    restricted = Dicolouring(
-        total.k, {v: total.colour(v) for v in range(d.n)}
-    )
-    if not is_valid(d, restricted, require_total=True):
-        raise InternalInconsistency("restriction of a completion went invalid")
-    if restricted.k > delta + 1 - ell:
+    total = greedy_complete(d, partial, delta // 2, ell)
+    if not is_valid(d, total, require_total=True):
+        raise InternalInconsistency("greedy completion went invalid")
+    if total.k > delta + 1 - ell:
         raise InternalInconsistency("completion overshot the palette")
-    return restricted
+    return total
 
 
 @dataclass(frozen=True)

@@ -276,3 +276,32 @@ def test_non_ascii_dgf_exit_2(capsys, tmp_path, command) -> None:
     assert code == 2 and out is None
     assert err["error"] == "ParseError"
     assert "line 2, column 5" in err["message"] and "non-ASCII" in err["message"]
+
+
+@pytest.mark.parametrize("command", ["params", "dicolor"])
+def test_huge_vertex_count_exit_2(capsys, tmp_path, command) -> None:
+    path = tmp_path / "huge.dgf"
+    path.write_text("n 100000000\n", encoding="ascii")
+    code, out, err = _run(capsys, [command, str(path)])
+    assert code == 2 and out is None
+    assert err["error"] == "InstanceTooLarge"
+
+
+@pytest.mark.parametrize(
+    "family",
+    ["complete 100000", "tournament 100000", "random 100000 0 0", "obstruction 3 100000"],
+)
+def test_gen_huge_vertex_count_exit_2(capsys, family) -> None:
+    code, out, err = _run(capsys, ["gen", *family.split()])
+    assert code == 2 and out is None
+    assert err["error"] == "InstanceTooLarge"
+
+
+def test_unexpected_exception_exit_2(capsys, monkeypatch, triangle) -> None:
+    def broken(d):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("dichroma.cli.degree_profile", broken)
+    code, out, err = _run(capsys, ["params", triangle])
+    assert code == 2 and out is None
+    assert err == {"error": "InternalError", "message": "RuntimeError: boom"}

@@ -1,16 +1,20 @@
 """Degree, density and clique parameters against independent references."""
 
 import math
+import os
 import random
+import subprocess
 import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dichroma
 from dichroma.digraph import (
     Digraph,
     Graph,
@@ -132,6 +136,40 @@ def test_biclique_components_on_a_long_digon_free_chain() -> None:
     assert rep.omega_bi == 1
     assert rep.maximum_bicliques == tuple(frozenset({v}) for v in range(1500))
     assert rep.components == _pairwise_components(rep.maximum_bicliques)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 11), st.integers(0, 2**30))
+def test_maximum_bicliques_match_networkx(n: int, seed: int) -> None:
+    rng = random.Random(seed)
+    pd = rng.random() * 0.9
+    d = random_digraph(n, pd, rng.random() * (0.95 - pd), seed=seed)
+    g = nx.Graph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((u, v) for u, v in d.arcs if u < v and d.has_arc(v, u))
+    cliques = [frozenset(c) for c in nx.find_cliques(g)] if n else []
+    top = max(map(len, cliques), default=0)
+    expected = sorted((c for c in cliques if len(c) == top), key=sorted)
+    rep = biclique_report(d)
+    assert rep.omega_bi == top
+    assert list(rep.maximum_bicliques) == expected
+
+
+def test_biclique_report_deeper_than_the_recursion_limit() -> None:
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.setrecursionlimit(300)\n"
+        "from dichroma.digraph import complete_digraph\n"
+        "from dichroma.params import biclique_report\n"
+        "print(biclique_report(complete_digraph(400)).omega_bi)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["400"]
 
 
 def test_biclique_cap_counts_maximal_cliques() -> None:

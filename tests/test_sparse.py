@@ -4,8 +4,16 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from dichroma.digraph import Digraph, Graph, directed_cycle, symmetric_closure
+from dichroma.digraph import (
+    Digraph,
+    Graph,
+    directed_cycle,
+    random_digraph,
+    symmetric_closure,
+)
 from dichroma.errors import (
     InstanceTooLarge,
     InvalidParameter,
@@ -21,6 +29,8 @@ from dichroma.sparse import (
     sparse_dicolour,
     trial,
 )
+
+from .oracles import acyclic
 
 
 def circulant(n: int, jumps: tuple[int, ...]) -> Digraph:
@@ -136,6 +146,61 @@ def test_sparse_dicolour_validation() -> None:
     got = sparse_dicolour(tiny, 0)
     assert got is not None and is_valid(tiny, got, require_total=True)
     assert sparse_dicolour(Digraph(0, []), 0) is not None
+
+
+def _is_dicolouring(d: Digraph, colouring) -> bool:
+    """Total, and the arcs inside colour classes form an acyclic digraph."""
+    col = colouring.assignment
+    if set(col) != set(range(d.n)):
+        return False
+    return acyclic(d.n, [(u, v) for u, v in d.arcs if col[u] == col[v]])
+
+
+def test_sparse_dicolour_non_regular_circulant() -> None:
+    # regularising would take ten doubling rounds to reach 307,200 vertices
+    d = circulant(300, (1, 2, 3, 5, 8, 13, 21, 34, 55, 89))
+    d = Digraph(d.n, [(u, v) for u, v in d.arcs if v != 0])
+    delta = degree_profile(d).delta_max
+    assert delta == 10 and d.in_degree(0) == 0
+    got = sparse_dicolour(d, min(density_report(d).bv), seed=4)
+    assert got is not None and _is_dicolouring(d, got)
+    assert got.k <= delta + 1
+
+
+def _out_star(n: int) -> Digraph:
+    return Digraph(n, [(0, v) for v in range(1, n)])
+
+
+def test_sparse_dicolour_largest_star_with_ell_zero() -> None:
+    # B = Delta (Delta - 1) gives ell = floor((Delta - 1) / (4 e^7)) = 0 at Delta = 4387
+    d = _out_star(4388)
+    delta = d.n - 1
+    got = sparse_dicolour(d, delta * (delta - 1), max_tries=2)
+    assert got is not None and _is_dicolouring(d, got)
+    assert got.k == delta + 1
+
+
+def test_sparse_dicolour_star_with_ell_one_misses_the_target() -> None:
+    # at Delta = 4388 ell = 1, but a leaf's sides are {centre} and empty
+    d = _out_star(4389)
+    delta = d.n - 1
+    assert sparse_dicolour(d, delta * (delta - 1), max_tries=2) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 12), st.integers(0, 2**30))
+def test_sparse_dicolour_on_random_digraphs(n: int, seed: int) -> None:
+    rng = random.Random(seed)
+    pd = rng.random() * 0.5
+    d = random_digraph(n, pd, rng.random() * (0.9 - pd), seed=seed)
+    profile = degree_profile(d)
+    delta = profile.delta_max
+    assume(set(profile.d_out) | set(profile.d_in) != {delta})
+    b = rng.randrange(min(density_report(d).bv) + 1)
+    got = sparse_dicolour(d, b, seed=seed)
+    assert got is not None and _is_dicolouring(d, got)
+    assert got.k <= delta + 1
+    assert sparse_dicolour(d, b, seed=seed) == got
 
 
 def test_monte_carlo_degenerate() -> None:
