@@ -40,8 +40,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .params import biclique_report, degree_profile
-from .solver import Dicolouring, ListAssignment, Masks, is_valid
-from .solver import _closes_cycle, _masks, _search
+from .solver import Dicolouring, ListAssignment, _closes_cycle, _search, is_valid
 
 
 @dataclass(frozen=True)
@@ -131,12 +130,12 @@ class _StructureMismatch(Exception):
 
 
 def _transversal_search(
-    masks: Masks, parts: Sequence[frozenset[int]], fixed: int, forbidden: frozenset[int]
+    d: Digraph, parts: Sequence[frozenset[int]], fixed: int, forbidden: frozenset[int]
 ) -> Optional[set[int]]:
     """One allowed vertex per part extending `fixed`, acyclic overall."""
     order = sorted(parts, key=lambda p: (len(p - forbidden), sorted(p)))
     steps = [(sorted(p - forbidden), (0,)) for p in order]
-    found = next(_search(*masks, [1 << fixed], steps), None)
+    found = next(_search(*d.masks, [1 << fixed], steps), None)
     return None if found is None else {fixed, *found}
 
 
@@ -148,13 +147,12 @@ def find_asr(inst: ASRInstance, anchor: Optional[int] = None) -> frozenset[int]:
     NoASR reports genuine non-existence.
     """
     d = inst.digraph
-    masks = _masks(d)
     idx = len(inst.parts) - 1 if anchor is None else inst.part_of(anchor)
     x1 = min(inst.parts[idx]) if anchor is None else anchor
     rest = tuple(p for i, p in enumerate(inst.parts) if i != idx)
 
     if inst.satisfies_degree_condition:
-        found = _transversal_search(masks, rest, x1, d.out_adj[x1])
+        found = _transversal_search(d, rest, x1, d.out_adj[x1])
         if found is None:
             raise InternalInconsistency(
                 "no ASR avoiding the anchor's out-neighbours, though the "
@@ -163,7 +161,7 @@ def find_asr(inst: ASRInstance, anchor: Optional[int] = None) -> frozenset[int]:
     else:
         # without an anchor the representative of the last part is free
         for x1 in sorted(inst.parts[idx]) if anchor is None else [x1]:
-            found = _transversal_search(masks, rest, x1, frozenset())
+            found = _transversal_search(d, rest, x1, frozenset())
             if found is not None:
                 break
         if found is None:
@@ -205,7 +203,6 @@ def search_good_triplet(
     """Exhaustive search for a good triplet; None under the degree condition
     is the expected outcome (any hit would refute the counting bound)."""
     d = inst.digraph
-    masks = _masks(d)
     r = len(inst.parts)
     anchors = [anchor] if anchor is not None else sorted(inst.parts[r - 1])
     for x1 in anchors:
@@ -213,21 +210,20 @@ def search_good_triplet(
             i_set = frozenset(i for i in range(r - 1) if bits >> i & 1)
             v_i = sorted(set().union(*(inst.parts[i] for i in i_set)))
             steps = [(sorted(inst.parts[i]), (0,)) for i in sorted(i_set)]
-            for y in map(set, _search(*masks, [0], steps)):
+            for y in map(set, _search(*d.masks, [0], steps)):
                 pool = [u for u in v_i if u not in y] + [x1]
-                for x in _covering_sets(d, masks, pool, x1, y):
+                for x in _covering_sets(d, pool, x1, y):
                     triplet = GoodTriplet(i_set, frozenset(x), frozenset(y))
                     if is_good_triplet(inst, triplet):
                         return triplet
     return None
 
 
-def _covering_sets(
-    d: Digraph, masks: Masks, pool: Sequence[int], x1: int, y: set[int]
-) -> Iterator[set[int]]:
+def _covering_sets(d: Digraph, pool: Sequence[int], x1: int, y: set[int]) -> Iterator[set[int]]:
     """Acyclic subsets of the pool containing x1 in which every vertex of y
     keeps exactly one in-neighbour (exact cover by in-stars).  Members with
     no out-neighbour in y are pruned: they could never sit in a good X."""
+    out, inn = d.masks
     covered: set[int] = set()
 
     def walk(i: int, x: int) -> Iterator[set[int]]:
@@ -237,7 +233,7 @@ def _covering_sets(
             return
         v = pool[i]
         hits = d.out_adj[v] & y
-        if hits and not hits & covered and not _closes_cycle(*masks, x, v):
+        if hits and not hits & covered and not _closes_cycle(out, inn, x, v):
             covered.update(hits)
             yield from walk(i + 1, x | 1 << v)
             covered.difference_update(hits)

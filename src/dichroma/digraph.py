@@ -7,18 +7,23 @@ is the graph of digons, the underlying graph UG(D) the graph of all adjacent
 pairs.
 
 Instances are immutable after construction (adjacency stored as tuples of
-frozensets), so they can be shared freely across worker processes.
+frozensets, and as int bitmasks cached on first read of ``Digraph.masks``),
+so they can be shared freely across worker processes.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import islice
 from typing import Iterable, Optional
 
 from .errors import InstanceTooLarge, InvalidParameter, InvalidVertex, SelfLoop
 
 MAX_VERTICES = 1 << 15
 """Largest vertex count a Digraph accepts; checked before any allocation."""
+
+MAX_ARCS = 1 << 21
+"""Most arcs a Digraph reads, duplicates included; bidirected K_1010 fits."""
 
 
 class Graph:
@@ -81,9 +86,11 @@ class Digraph:
     """Loopless digraph with frozen adjacency.
 
     ``out_adj[v]`` / ``in_adj[v]`` are frozensets of out/in-neighbours.
+    ``masks`` caches them as int bitmasks on first read: n*n/4 bytes at worst,
+    256 MiB at MAX_VERTICES.  Equality and hashing use only ``n`` and the arcs.
     """
 
-    __slots__ = ("n", "out_adj", "in_adj", "_arcs")
+    __slots__ = ("n", "out_adj", "in_adj", "_arcs", "_masks")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -92,23 +99,36 @@ class Digraph:
             raise InstanceTooLarge(f"{n} vertices is past the cap of {MAX_VERTICES}")
         out_adj = [set() for _ in range(n)]
         in_adj = [set() for _ in range(n)]
-        for u, v in arcs:
+        arcs = iter(arcs)
+        for u, v in islice(arcs, MAX_ARCS):
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertex(f"arc endpoint out of range: {(u, v)}")
             if u == v:
                 raise SelfLoop(f"loop at vertex {u}")
             out_adj[u].add(v)
             in_adj[v].add(u)
+        if next(arcs, None) is not None:
+            raise InstanceTooLarge(f"more than {MAX_ARCS} arcs")
         self.n = n
         self.out_adj = tuple(frozenset(a) for a in out_adj)
         self.in_adj = tuple(frozenset(a) for a in in_adj)
         self._arcs = frozenset((u, v) for u in range(n) for v in out_adj[u])
+        self._masks = None
 
     # -- basic queries -------------------------------------------------
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
         return self._arcs
+
+    @property
+    def masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(out, in): bit w of out[v] is set iff v -> w, of in[v] iff w -> v."""
+        if self._masks is None:
+            self._masks = tuple(
+                tuple(sum(1 << w for w in a) for a in adj) for adj in (self.out_adj, self.in_adj)
+            )
+        return self._masks
 
     def arc_count(self) -> int:
         return len(self._arcs)
@@ -219,7 +239,14 @@ def symmetric_closure(g: Graph) -> Digraph:
     return Digraph(g.n, arcs)
 
 
+def _cap_arcs(m: int) -> None:
+    """Refuse a generator's closed-form arc count m before any arc is drawn."""
+    if m > MAX_ARCS:
+        raise InstanceTooLarge(f"{m} arcs is past the cap of {MAX_ARCS}")
+
+
 def complete_digraph(n: int) -> Digraph:
+    _cap_arcs(n * (n - 1))
     return Digraph(n, ((u, v) for u in range(n) for v in range(n) if u != v))
 
 
@@ -252,6 +279,7 @@ def random_digraph(n: int, p_digon: float, p_simple: float, seed) -> Digraph:
 
 
 def random_tournament(n: int, seed) -> Digraph:
+    _cap_arcs(n * (n - 1) // 2)
     rng = random.Random(seed)
     pairs = ((u, v) for u in range(n) for v in range(u + 1, n))
     return Digraph(n, ((u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs))
@@ -269,6 +297,7 @@ def obstruction(n_cycle: int, p: int) -> Digraph:
         raise InvalidParameter("the cycle length must be at least 3")
     if p < 1:
         raise InvalidParameter("part size must be at least 1")
+    _cap_arcs(n_cycle * p * (3 * p - 1))
 
     def arcs():  # lazy, so Digraph checks n before any arc is listed
         part = [range(i * p, (i + 1) * p) for i in range(n_cycle)]

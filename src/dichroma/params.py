@@ -115,12 +115,11 @@ def is_b_sparse(d: Digraph, b: int) -> bool:
     return all(x >= b for x in density_report(d).bv)
 
 
-def _maximal_cliques(adj: tuple[frozenset[int], ...], cap: int) -> list[frozenset[int]]:
+def _maximal_cliques(masks: list[int], cap: int) -> list[frozenset[int]]:
     """All maximal cliques, pivoted Bron-Kerbosch on an explicit stack of
     (clique, candidates, excluded) bitmasks; CapExceeded past cap."""
-    masks = [sum(1 << w for w in a) for a in adj]
     out: list[frozenset[int]] = []
-    stack = [(0, (1 << len(adj)) - 1, 0)] if adj else []
+    stack = [(0, (1 << len(masks)) - 1, 0)] if masks else []
     while stack:
         r, p, x = stack.pop()
         if not p | x:
@@ -137,8 +136,7 @@ def _maximal_cliques(adj: tuple[frozenset[int], ...], cap: int) -> list[frozense
 
 
 def biclique_report(d: Digraph, cap: int = 10**6) -> BicliqueReport:
-    s = d.symmetric_part()
-    cliques = _maximal_cliques(s.adj, cap)
+    cliques = _maximal_cliques([o & i for o, i in zip(*d.masks)], cap)
     if not cliques:
         return BicliqueReport(0, (), ())
     omega = max(len(c) for c in cliques)
@@ -184,7 +182,7 @@ def directed_clique_number(d: Digraph, omega_bi: Optional[int] = None) -> int:
     top = min(n, 2 * omega)  # X1 and X2 are disjoint bicliques
     if omega == top:
         return omega
-    out, inn = ([sum(1 << w for w in a) for a in nbrs] for nbrs in (d.out_adj, d.in_adj))
+    out, inn = d.masks
     adj = [o & i | o << n for o, i in zip(out, inn)]
     adj += [(o & i) << n | i for o, i in zip(out, inn)]
     best, low = omega, (1 << n) - 1

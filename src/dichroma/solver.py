@@ -7,7 +7,8 @@ produce colours 0..k-1.
 
 Every exact search here and in the asr module runs on one engine, _search:
 an explicit-stack backtracking over int bitmasks, one per colour class, so
-its depth is not bounded by the recursion limit.  Colourings branch on the
+its depth is not bounded by the recursion limit.  It reads adjacency from
+Digraph.masks, which each digraph builds once.  Colourings branch on the
 vertices highest total degree first and open at most one empty class per
 vertex.  Each returned witness is checked with is_valid.
 
@@ -75,14 +76,6 @@ def _colour_classes(assignment: Mapping[int, int]) -> dict[int, set[int]]:
     for v, c in assignment.items():
         classes.setdefault(c, set()).add(v)
     return classes
-
-
-Masks = tuple[list[int], list[int]]
-
-
-def _masks(d: Digraph) -> Masks:
-    """Out- and in-neighbourhoods of d as int bitmasks, built per search."""
-    return tuple([sum(1 << u for u in a) for a in adj] for adj in (d.out_adj, d.in_adj))
 
 
 def _closes_cycle(out: Sequence[int], inn: Sequence[int], cls: int, v: int) -> bool:
@@ -174,11 +167,11 @@ def _checked(d: Digraph, colouring: Dicolouring) -> Dicolouring:
     return colouring
 
 
-def _k_search(d: Digraph, masks: Masks, order: list[int], k: int) -> Optional[Dicolouring]:
+def _k_search(d: Digraph, order: list[int], k: int) -> Optional[Dicolouring]:
     # a search never opens more than n classes, whatever k is
     keys = range(min(k, d.n))
     steps = [((v,), keys) for v in order]
-    found = next(_search(*masks, [0] * len(keys), steps, fresh_once=True), None)
+    found = next(_search(*d.masks, [0] * len(keys), steps, fresh_once=True), None)
     return None if found is None else _checked(d, Dicolouring(k, found))
 
 
@@ -186,7 +179,7 @@ def k_dicolourable(d: Digraph, k: int) -> Optional[Dicolouring]:
     """A total k-dicolouring of d, or None if there is none."""
     if k < 0:
         raise InvalidParameter("colour count must be non-negative")
-    return _k_search(d, _masks(d), _branch_order(d), k)
+    return _k_search(d, _branch_order(d), k)
 
 
 def optimal_dicolouring(d: Digraph, omega_bi: Optional[int] = None) -> Dicolouring:
@@ -200,9 +193,8 @@ def optimal_dicolouring(d: Digraph, omega_bi: Optional[int] = None) -> Dicolouri
     order = _branch_order(d)
     if d.is_acyclic():
         return Dicolouring(1, dict.fromkeys(order, 0))
-    masks = _masks(d)
     k = max(2, biclique_report(d).omega_bi if omega_bi is None else omega_bi)
-    while (found := _k_search(d, masks, order, k)) is None:
+    while (found := _k_search(d, order, k)) is None:
         k += 1
     return found
 
@@ -213,12 +205,12 @@ def dichromatic_number(d: Digraph, omega_bi: Optional[int] = None) -> int:
 
 
 def _list_search(
-    masks: Masks, order: list[int], lists: ListAssignment | Sequence[frozenset[int]]
+    d: Digraph, order: list[int], lists: ListAssignment | Sequence[frozenset[int]]
 ) -> Optional[dict[int, int]]:
     """A list colouring as {vertex: colour}, or None.  Left unchecked, since
     is_k_dichoosable only asks whether one exists."""
     classes = dict.fromkeys(frozenset().union(*(lists[v] for v in order)), 0)
-    return next(_search(*masks, classes, [((v,), sorted(lists[v])) for v in order]), None)
+    return next(_search(*d.masks, classes, [((v,), sorted(lists[v])) for v in order]), None)
 
 
 def list_dicolourable(d: Digraph, lists: ListAssignment) -> Optional[Dicolouring]:
@@ -229,7 +221,7 @@ def list_dicolourable(d: Digraph, lists: ListAssignment) -> Optional[Dicolouring
         if any(c < 0 for c in lists[v]):
             raise InvalidParameter("list colours must be non-negative")
     k = max((max(lists[v], default=-1) for v in range(d.n)), default=-1) + 1
-    found = _list_search(_masks(d), _branch_order(d), lists)
+    found = _list_search(d, _branch_order(d), lists)
     return None if found is None else _checked(d, Dicolouring(k, found))
 
 
@@ -348,7 +340,7 @@ def is_k_dichoosable(d: Digraph, k: int, universe: Optional[int] = None) -> bool
     for support in _bad_supports(d, frozenset(core), k):
         sub, relabel = d.induced(support)
         m = sub.n
-        masks, order = _masks(sub), _branch_order(sub)
+        order = _branch_order(sub)
         seen: set[tuple] = set()
         for u_size in range(k + 1, m + 1):
             for witness in combinations(range(m), u_size):
@@ -364,7 +356,7 @@ def is_k_dichoosable(d: Digraph, k: int, universe: Optional[int] = None) -> bool
                     if key in seen:
                         continue
                     seen.add(key)
-                    if _list_search(masks, order, by_vertex) is None:
+                    if _list_search(sub, order, by_vertex) is None:
                         return False
     return True
 

@@ -289,7 +289,15 @@ def test_huge_vertex_count_exit_2(capsys, tmp_path, command) -> None:
 
 @pytest.mark.parametrize(
     "family",
-    ["complete 100000", "tournament 100000", "random 100000 0 0", "obstruction 3 100000"],
+    [
+        "complete 100000",
+        "tournament 100000",
+        "random 100000 0 0",
+        "obstruction 3 100000",
+        "complete 32768",
+        "tournament 32768",
+        "obstruction 3 10922",
+    ],
 )
 def test_gen_huge_vertex_count_exit_2(capsys, family) -> None:
     code, out, err = _run(capsys, ["gen", *family.split()])

@@ -1,12 +1,15 @@
 """Digraph and graph containers, constructors, and structural queries."""
 
 import random
+from itertools import repeat
+from operator import length_hint
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dichroma.digraph import (
+    MAX_ARCS,
     Digraph,
     Graph,
     complete_digraph,
@@ -16,7 +19,7 @@ from dichroma.digraph import (
     random_tournament,
     symmetric_closure,
 )
-from dichroma.errors import InvalidParameter, InvalidVertex, SelfLoop
+from dichroma.errors import InstanceTooLarge, InvalidParameter, InvalidVertex, SelfLoop
 
 from .oracles import acyclic, isomorphic
 
@@ -48,6 +51,13 @@ def test_construction_and_errors() -> None:
         Digraph(-1, [])
 
 
+def test_arc_cap_counts_duplicates() -> None:
+    arcs = repeat((0, 1), MAX_ARCS + 2)
+    with pytest.raises(InstanceTooLarge):
+        Digraph(2, arcs)
+    assert length_hint(arcs) == 1  # it read MAX_ARCS + 1 arcs, then stopped
+
+
 def test_neighbourhoods() -> None:
     d = Digraph(4, [(0, 1), (1, 0), (0, 2), (3, 0)])
     assert d.out_adj[0] == frozenset({1, 2})
@@ -63,6 +73,13 @@ def test_reverse_involution(d: Digraph) -> None:
     assert r.arcs == frozenset((v, u) for u, v in d.arcs)
     assert r.reverse().arcs == d.arcs
     assert d.symmetric_part().edges == r.symmetric_part().edges
+    out, inn = d.masks
+    for v in range(d.n):
+        for w in range(d.n):
+            assert (out[v] >> w & 1) == ((v, w) in d.arcs)
+            assert (inn[v] >> w & 1) == ((w, v) in d.arcs)
+    assert r.masks == d.masks[::-1]
+    assert d.masks is d.masks
 
 
 @settings(max_examples=150, deadline=None)
