@@ -205,12 +205,13 @@ def search_good_triplet(
     d = inst.digraph
     r = len(inst.parts)
     anchors = [anchor] if anchor is not None else sorted(inst.parts[r - 1])
-    for x1 in anchors:
-        for bits in range(1, 1 << (r - 1)):
-            i_set = frozenset(i for i in range(r - 1) if bits >> i & 1)
-            v_i = sorted(set().union(*(inst.parts[i] for i in i_set)))
-            steps = [(sorted(inst.parts[i]), (0,)) for i in sorted(i_set)]
-            for y in map(set, _search(*d.masks, [0], steps)):
+    for bits in range(1, 1 << (r - 1)):
+        i_set = frozenset(i for i in range(r - 1) if bits >> i & 1)
+        v_i = sorted(set().union(*(inst.parts[i] for i in i_set)))
+        steps = [(sorted(inst.parts[i]), (0,)) for i in sorted(i_set)]
+        # Y does not depend on the anchor, so each Y is enumerated once
+        for y in map(set, _search(*d.masks, [0], steps)):
+            for x1 in anchors:
                 pool = [u for u in v_i if u not in y] + [x1]
                 for x in _covering_sets(d, pool, x1, y):
                     triplet = GoodTriplet(i_set, frozenset(x), frozenset(y))

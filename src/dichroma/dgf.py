@@ -14,8 +14,9 @@ import json
 from fractions import Fraction
 from typing import Iterator
 
+from . import digraph
 from .digraph import Digraph, Graph
-from .errors import ParseError
+from .errors import InstanceTooLarge, ParseError
 from .solver import Dicolouring
 
 
@@ -35,7 +36,12 @@ def _integer(token: str, lineno: int, column: int) -> int:
 
 
 def parse_dgf(text: str) -> Digraph:
-    """Read a digraph, reporting the first offence with line and column."""
+    """Read a digraph, reporting the first offence with line and column.
+
+    Past digraph.MAX_ARCS arc lines it stops at the first extra one, so a
+    huge file is refused before its arcs are collected.
+    """
+    cap = digraph.MAX_ARCS
     n = None
     arcs: list[tuple[int, int]] = []
     lineno = 0
@@ -71,6 +77,8 @@ def parse_dgf(text: str) -> Digraph:
             ends.append((v, column))
         if ends[0][0] == ends[1][0]:
             raise ParseError("self-loop", lineno, ends[1][1])
+        if len(arcs) == cap:
+            raise InstanceTooLarge(f"more than {cap} arcs, at line {lineno}")
         arcs.append((ends[0][0], ends[1][0]))
     if n is None:
         raise ParseError("missing header 'n <count>'", lineno + 1, 1)

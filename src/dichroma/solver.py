@@ -6,11 +6,14 @@ share a colour.  Colour labels are opaque to validity checking; solvers
 produce colours 0..k-1.
 
 Every exact search here and in the asr module runs on one engine, _search:
-an explicit-stack backtracking over int bitmasks, one per colour class, so
-its depth is not bounded by the recursion limit.  It reads adjacency from
-Digraph.masks, which each digraph builds once.  Colourings branch on the
-vertices highest total degree first and open at most one empty class per
-vertex.  Each returned witness is checked with is_valid.
+an explicit-stack backtracking over int bitmasks, so its depth is not
+bounded by the recursion limit.  It reads adjacency from Digraph.masks,
+which each digraph builds once.  It branches on the vertex with the fewest
+colours left (DSATUR order, Brelaz 1979), highest total degree first on a
+tie, and each placement strikes the colours it rules out for the vertices
+still to come (forward checking).  Empty colours that the same vertices
+allow are interchangeable and tried once, so a k-dicolouring opens at most
+one new class per vertex.  Each returned witness is checked with is_valid.
 
 Dichoosability is decided without enumerating raw list assignments, which is
 hopeless even at n = 6.  Three exact reductions shrink the search:
@@ -27,7 +30,8 @@ hopeless even at n = 6.  Three exact reductions shrink the search:
 
 The search enumerates the witness block first over a bounded palette, then
 extends canonically (fresh colours in first-use order), and calls the exact
-list solver on every surviving candidate.
+list solver on every surviving candidate that none of the last four
+colourings it found already fits.
 """
 
 from __future__ import annotations
@@ -96,50 +100,172 @@ def _closes_cycle(out: Sequence[int], inn: Sequence[int], cls: int, v: int) -> b
     return False
 
 
+def _spread(adj: Sequence[int], cls: int, v: int) -> int:
+    """The union of adj[u] over every u that v reaches along adj inside cls."""
+    union = 0
+    frontier = reached = 1 << v
+    while frontier:
+        while frontier:
+            low = frontier & -frontier
+            union |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = union & cls & ~reached
+        reached |= frontier
+    return union
+
+
 def _search(
     out: Sequence[int],
     inn: Sequence[int],
     classes: list[int] | dict[int, int],
     steps: Sequence[tuple[Sequence[int], Sequence[int]]],
-    fresh_once: bool = False,
 ) -> Iterator[dict[int, int]]:
-    """Yield every way to take one option per step with all classes acyclic.
+    """Yield the ways to take one option per step with all classes acyclic.
 
-    classes maps class keys to member masks; it is updated in place and
-    restored on backtrack.  The options of a step (vertices, keys) put each
-    vertex into each class, in that order.  With fresh_once a step stops
-    after the first option that opens an empty class: empty classes are
-    interchangeable.  A yield maps each chosen vertex to its class key.
+    classes maps class keys to their initial member masks.  A step
+    (vertices, keys) offers each of its vertices to each class in keys; no
+    vertex is in two steps.  An option is live while its vertex can join its
+    class without closing a cycle.  The step taken next is the untried one
+    with the fewest live options, the earlier on a tie; its options are
+    tried class by class in the order of classes, vertices in increasing
+    order.  A placement into a class rechecks only the live options into it
+    and backtracks at once when an untried step has none left.  Two empty
+    classes offered by exactly the same steps are interchangeable, so only
+    the first is tried: every solution is yielded once up to such swaps.  A
+    yield maps each chosen vertex to its class key.
     """
-    stack: list[tuple[int, int, int]] = []  # (vertex, key, next option)
-    j = 0
+    names = list(classes) if isinstance(classes, dict) else range(len(classes))
+    masks = [classes[name] for name in names]
+    width = len(masks)
+    span = len(out)  # option (v, i) is bit i * span + v of live
+    m = len(steps)
+    live = stacked = 0
+    spreads = []  # per step, bit i * span set for each class i it offers
+    rank = []  # untried steps rank by live options, then by position
+    step_of = {}
+    keys_seen = None
+    for s, (vertices, keys) in enumerate(steps):
+        if keys is not keys_seen:
+            keys_seen = keys
+            spread = 0
+            for key in keys:
+                spread |= 1 << names.index(key) * span
+            stacked |= spread << s  # bit i * span + s: step s offers class i
+            cost = spread.bit_count() * m
+        for v in vertices:
+            step_of[v] = s
+            live |= spread << v
+        spreads.append(spread)
+        rank.append(len(vertices) * cost + s)
+    full = (1 << span) - 1
+    for i, cls in enumerate(masks):
+        rest = live >> i * span & full if cls else 0
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if inn[v] & cls and _closes_cycle(out, inn, cls, v):
+                live ^= low << i * span
+                rank[step_of[v]] -= m
+    if not steps:
+        yield {}
+        return
+    if min(rank) < m:
+        return
+    # classes offered by the same steps are interchangeable: an empty class
+    # is skipped while twin[i], the one before it, is empty too
+    twin = []
+    last = {}
+    for i in range(width):
+        offered = stacked >> i * span & full
+        twin.append(last.get(offered, width))
+        last[offered] = i
+    masks.append(-1)  # the twin of a class that has none is never empty
+    done = m * (span * width + 1)  # the rank of a tried step
+    stack: list[tuple] = []  # (step, opened, options left, vertex, class, knocked)
+    best = min(rank)
     while True:
-        depth = len(stack)
-        if depth == len(steps):
-            yield {v: key for v, key, _ in stack}
-        else:
-            vertices, keys = steps[depth]
-            width = len(keys)
-            end = len(vertices) * width
-            while j < end:
-                v, key = vertices[j // width], keys[j % width]
-                j += 1
-                cls = classes[key]
-                if not (inn[v] & cls and _closes_cycle(out, inn, cls, v)):
-                    classes[key] = cls | 1 << v
-                    stack.append((v, key, j))
-                    j = 0
-                    break
-            if len(stack) > depth:
+        s = best % m  # open the most constrained untried step
+        opened = 0
+        for v in steps[s][0]:
+            opened |= live & spreads[s] << v
+        live ^= opened  # live holds the options of untried steps only
+        rank[s] = done
+        todo = opened
+        while True:  # place the next live option of step s, or backtrack
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                i, v = divmod(low.bit_length() - 1, span)
+                cls = masks[i]
+                if not cls and not masks[twin[i]]:
+                    continue
+                cls |= 1 << v
+                masks[i] = cls
+                # w can no longer join if w -> a ~> v ~> b -> w inside the class
+                shift = i * span
+                doomed = live >> shift & full  # untried options into class i
+                if doomed:
+                    into = inn[v] & cls
+                    back = out[v] & cls
+                    if into and back:
+                        doomed &= _spread(inn, cls, v)
+                        if doomed:
+                            doomed &= _spread(out, cls, v)
+                    elif into or back:
+                        # only v's few neighbours on its bare side can be caught
+                        rest = doomed & (out[v] if into else inn[v])
+                        doomed = 0
+                        while rest:
+                            low = rest & -rest
+                            rest ^= low
+                            if _closes_cycle(out, inn, cls, low.bit_length() - 1):
+                                doomed |= low
+                    else:
+                        doomed &= inn[v] & out[v]
+                knocked = doomed << shift
+                live ^= knocked
+                while doomed:
+                    low = doomed & -doomed
+                    doomed ^= low
+                    t = step_of[low.bit_length() - 1]
+                    rank[t] -= m
+                    if rank[t] < m:
+                        break
+                else:
+                    if live:
+                        break
+                    # no untried step is left: v completes a solution
+                    found = {frame[3]: names[frame[4]] for frame in stack}
+                    found[v] = names[i]
+                    yield found
+                    masks[i] = cls ^ 1 << v
+                    continue
+                # an untried step has no option left: undo what was counted
+                masks[i] = cls ^ 1 << v
+                live |= knocked
+                knocked = knocked >> shift ^ doomed
+                while knocked:
+                    low = knocked & -knocked
+                    knocked ^= low
+                    rank[step_of[low.bit_length() - 1]] += m
+            else:
+                rank[s] = opened.bit_count() * m + s
+                live |= opened
+                if not stack:
+                    return
+                s, opened, todo, v, i, knocked = stack.pop()
+                masks[i] ^= 1 << v
+                live |= knocked
+                knocked >>= i * span
+                while knocked:
+                    low = knocked & -knocked
+                    knocked ^= low
+                    rank[step_of[low.bit_length() - 1]] += m
                 continue
-        # back to the deepest step with an untried option
-        while stack:
-            v, key, j = stack.pop()
-            classes[key] ^= 1 << v
-            if not (fresh_once and classes[key] == 0):
-                break
-        else:
-            return
+            break
+        stack.append((s, opened, todo, v, i, knocked))
+        best = min(rank)
 
 
 def is_valid(d: Digraph, c: Dicolouring, require_total: bool = False) -> bool:
@@ -155,10 +281,9 @@ def is_valid(d: Digraph, c: Dicolouring, require_total: bool = False) -> bool:
 
 
 def _branch_order(d: Digraph) -> list[int]:
-    # high-degree vertices first: they prune earliest
-    return sorted(
-        range(d.n), key=lambda v: (-(d.out_degree(v) + d.in_degree(v)), v)
-    )
+    # ties between equally constrained vertices go to the higher degree
+    degree = [-(o.bit_count() + i.bit_count()) for o, i in zip(*d.masks)]
+    return sorted(range(d.n), key=degree.__getitem__)
 
 
 def _checked(d: Digraph, colouring: Dicolouring) -> Dicolouring:
@@ -171,7 +296,7 @@ def _k_search(d: Digraph, order: list[int], k: int) -> Optional[Dicolouring]:
     # a search never opens more than n classes, whatever k is
     keys = range(min(k, d.n))
     steps = [((v,), keys) for v in order]
-    found = next(_search(*d.masks, [0] * len(keys), steps, fresh_once=True), None)
+    found = next(_search(*d.masks, [0] * len(keys), steps), None)
     return None if found is None else _checked(d, Dicolouring(k, found))
 
 
@@ -209,8 +334,9 @@ def _list_search(
 ) -> Optional[dict[int, int]]:
     """A list colouring as {vertex: colour}, or None.  Left unchecked, since
     is_k_dichoosable only asks whether one exists."""
-    classes = dict.fromkeys(frozenset().union(*(lists[v] for v in order)), 0)
-    return next(_search(*d.masks, classes, [((v,), sorted(lists[v])) for v in order]), None)
+    colours = sorted(frozenset().union(*(lists[v] for v in order)))
+    classes = dict.fromkeys(colours, 0)
+    return next(_search(*d.masks, classes, [((v,), lists[v]) for v in order]), None)
 
 
 def list_dicolourable(d: Digraph, lists: ListAssignment) -> Optional[Dicolouring]:
@@ -342,6 +468,7 @@ def is_k_dichoosable(d: Digraph, k: int, universe: Optional[int] = None) -> bool
         m = sub.n
         order = _branch_order(sub)
         seen: set[tuple] = set()
+        recent: list[tuple[int, ...]] = []  # colourings found, last used first
         for u_size in range(k + 1, m + 1):
             for witness in combinations(range(m), u_size):
                 rest = [v for v in range(m) if v not in witness]
@@ -356,8 +483,19 @@ def is_k_dichoosable(d: Digraph, k: int, universe: Optional[int] = None) -> bool
                     if key in seen:
                         continue
                     seen.add(key)
-                    if _list_search(sub, order, by_vertex) is None:
-                        return False
+                    # a colouring of sub whose colours the lists all hold
+                    # settles them without a search
+                    for known in recent:
+                        if all(map(frozenset.__contains__, by_vertex, known)):
+                            recent.remove(known)
+                            break
+                    else:
+                        got = _list_search(sub, order, by_vertex)
+                        if got is None:
+                            return False
+                        known = tuple(got[v] for v in range(m))
+                    recent.insert(0, known)
+                    del recent[4:]
     return True
 
 

@@ -287,6 +287,19 @@ def test_huge_vertex_count_exit_2(capsys, tmp_path, command) -> None:
     assert err["error"] == "InstanceTooLarge"
 
 
+def test_dgf_arc_cap_exit_2(capsys, monkeypatch, tmp_path) -> None:
+    c4, c3 = tmp_path / "c4.dgf", tmp_path / "c3.dgf"
+    c4.write_text(emit_dgf(directed_cycle(4)), encoding="ascii")
+    c3.write_text(emit_dgf(directed_cycle(3)), encoding="ascii")
+    monkeypatch.setattr("dichroma.digraph.MAX_ARCS", 3)
+    code, out, err = _run(capsys, ["params", str(c4)])
+    assert code == 2 and out is None
+    assert err["error"] == "InstanceTooLarge"
+    assert "line 5" in err["message"]  # the fourth arc, after the header
+    code, out, err = _run(capsys, ["params", str(c3)])
+    assert code == 0 and err is None and out["arc_count"] == 3
+
+
 @pytest.mark.parametrize(
     "family",
     [

@@ -2,7 +2,7 @@
 
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +14,7 @@ from dichroma.digraph import (
     directed_cycle,
     obstruction,
     random_digraph,
+    random_tournament,
     symmetric_closure,
     Graph,
 )
@@ -37,7 +38,7 @@ from dichroma.solver import (
     optimal_dicolouring,
 )
 
-from .oracles import brute_dichromatic, dichoosable_brute, list_colourable_brute
+from .oracles import acyclic, brute_dichromatic, dichoosable_brute, list_colourable_brute
 
 
 def test_dicolouring_container() -> None:
@@ -100,6 +101,12 @@ def test_list_dicolourable_examples() -> None:
         list_dicolourable(c3, {0: frozenset(), 1: frozenset({0}), 2: frozenset({0})})
         is None
     )
+    # bidirected K9 needs nine colours: eight shared ones fail by pigeonhole
+    k9 = complete_digraph(9)
+    assert list_dicolourable(k9, {v: frozenset(range(8)) for v in range(9)}) is None
+    got = list_dicolourable(k9, {v: frozenset(range(9)) for v in range(9)})
+    assert got is not None and is_valid(k9, got, require_total=True)
+    assert sorted(got.assignment.values()) == list(range(9))
     with pytest.raises(MissingList):
         list_dicolourable(c3, {0: frozenset({0}), 1: frozenset({0})})
     with pytest.raises(InvalidParameter):
@@ -120,6 +127,41 @@ def test_list_dicolourable_matches_brute(n: int, seed: int) -> None:
     if got is not None:
         assert is_valid(d, got, require_total=True)
         assert all(got.colour(v) in lists[v] for v in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**30))
+def test_block_lists_match_brute(n: int, seed: int) -> None:
+    # lists are unions of colour blocks, so whole blocks of colours are
+    # allowed by exactly the same vertices
+    rng = random.Random(seed)
+    pd = rng.random() * 0.7
+    d = random_digraph(n, pd, rng.random() * (0.95 - pd), seed=seed)
+    blocks, start = [], 0
+    for _ in range(rng.randint(1, 3)):
+        size = rng.randint(1, 2)
+        blocks.append(frozenset(range(start, start + size)))
+        start += size
+    lists = {
+        v: frozenset().union(*rng.sample(blocks, rng.randint(1, len(blocks))))
+        for v in range(n)
+    }
+    got = list_dicolourable(d, lists)
+    assert (got is not None) == list_colourable_brute(n, d.arcs, lists)
+    if got is not None:
+        assert is_valid(d, got, require_total=True)
+        assert all(got.colour(v) in lists[v] for v in range(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 8), st.integers(0, 2**30))
+def test_tournament_chromatic_matches_brute(n: int, seed: int) -> None:
+    d = random_tournament(n, seed=seed)
+    best = optimal_dicolouring(d)
+    assert best.k == brute_dichromatic(d.n, d.arcs)
+    assert is_valid(d, best, require_total=True)
+    if best.k > 1:
+        assert k_dicolourable(d, best.k - 1) is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -157,6 +199,25 @@ def test_searches_run_deeper_than_the_recursion_limit() -> None:
     assert got is not None and is_valid(d, got, require_total=True)
     assert set(got.assignment.values()) == {5, 7}
     assert optimal_dicolouring(d).k == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 2**30))
+def test_search_yields_each_acyclic_transversal_once(n: int, seed: int) -> None:
+    # one class, one step per part: the search must enumerate, not just find
+    rng = random.Random(seed)
+    pd = rng.random() * 0.5
+    d = random_digraph(n, pd, rng.random() * (0.9 - pd), seed=seed)
+    order = rng.sample(range(n), n)
+    parts = []
+    while order:
+        size = rng.randint(1, 3)
+        parts.append(sorted(order[:size]))
+        order = order[size:]
+    got = list(solver._search(*d.masks, [0], [(part, (0,)) for part in parts]))
+    assert all(set(y.values()) == {0} for y in got)
+    want = [sorted(pick) for pick in product(*parts) if acyclic(n, d.arcs, pick)]
+    assert sorted(sorted(y) for y in got) == sorted(want)
 
 
 def test_witness_self_check(monkeypatch) -> None:
@@ -235,6 +296,14 @@ def test_dichoosability_small_cases() -> None:
     # bidirected even cycle is 2-dichoosable
     cyc = symmetric_closure(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
     assert is_k_dichoosable(cyc, 2)
+
+
+@pytest.mark.parametrize("a, b, choosable", [(2, 3, True), (2, 4, False), (3, 3, False)])
+def test_bidirected_complete_bipartite_2_dichoosability(a, b, choosable) -> None:
+    # Erdos, Rubin and Taylor: K_{2,3} is 2-choosable, K_{2,4} and K_{3,3}
+    # are not; their bad lists come after many colourable candidates
+    g = Graph(a + b, [(x, y) for x in range(a) for y in range(a, a + b)])
+    assert is_k_dichoosable(symmetric_closure(g), 2) == choosable
 
 
 @settings(max_examples=40, deadline=None)
