@@ -18,7 +18,7 @@ from .asr import (
     list_dicolour_asr,
     search_good_triplet,
 )
-from .canon import canonical_key, canonical_labelling, find_isomorphism
+from .canon import canonical_key
 from .dense import (
     DensePartition,
     DenseReport,

@@ -1,32 +1,20 @@
-"""Canonical labelling of digraphs by refinement and individualization.
+"""Canonical keys of digraphs by refinement and individualisation.
 
-Vertex colours are refined by the multisets of out- and in-neighbour
-colours until the partition stabilizes; non-singleton classes are then split
-by individualizing each member in turn.  The canonical form is the least
-relabelled arc set over all discrete leaves, so equal forms mean isomorphic
-digraphs and the stored labellings convert into an explicit isomorphism.
-Intended for small, highly regular instances; no attempt at nauty-grade
-pruning is made.
+Colours are refined by the multisets of out- and in-neighbour colours until
+the number of classes stops growing or reaches n; the least class with two or
+more members is then split by individualising each member in turn, on an
+explicit stack.  The key is the least relabelled arc tuple over all discrete
+leaves, so equal keys mean isomorphic digraphs.  There is no automorphism
+pruning.
 """
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .digraph import Digraph
-from .errors import InternalInconsistency
-
-CanonicalKey = tuple
 
 
-def _partition(colours: tuple[int, ...]) -> frozenset[frozenset[int]]:
-    classes: dict[int, set[int]] = {}
-    for v, c in enumerate(colours):
-        classes.setdefault(c, set()).add(v)
-    return frozenset(frozenset(s) for s in classes.values())
-
-
-def _refine(d: Digraph, colours: tuple[int, ...]) -> tuple[int, ...]:
+def _refine(d: Digraph, colours: list[int]) -> list[int]:
+    count = len(set(colours))
     while True:
         keys = [
             (
@@ -37,62 +25,26 @@ def _refine(d: Digraph, colours: tuple[int, ...]) -> tuple[int, ...]:
             for v in range(d.n)
         ]
         ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
-        new = tuple(ranks[keys[v]] for v in range(d.n))
-        if _partition(new) == _partition(colours):
-            return new
-        colours = new
+        colours = [ranks[k] for k in keys]
+        if len(ranks) in (count, d.n):
+            return colours
+        count = len(ranks)
 
 
-def _individualize(colours: tuple[int, ...], v: int) -> tuple[int, ...]:
-    pairs = [(colours[u], 1 if u == v else 0) for u in range(len(colours))]
-    ranks = {p: i for i, p in enumerate(sorted(set(pairs)))}
-    return tuple(ranks[p] for p in pairs)
-
-
-def canonical_labelling(d: Digraph) -> tuple[CanonicalKey, dict[int, int]]:
-    """The canonical form of d and a vertex -> position map realizing it."""
-    best: Optional[tuple[CanonicalKey, dict[int, int]]] = None
-
-    def descend(colours: tuple[int, ...]) -> None:
-        nonlocal best
-        colours = _refine(d, colours)
-        target: Optional[list[int]] = None
-        by_colour: dict[int, list[int]] = {}
-        for v, c in enumerate(colours):
-            by_colour.setdefault(c, []).append(v)
-        for c in sorted(by_colour):
-            if len(by_colour[c]) > 1:
-                target = by_colour[c]
-                break
-        if target is None:
-            mapping = {v: colours[v] for v in range(d.n)}
-            key = (d.n, tuple(sorted((mapping[u], mapping[w]) for u, w in d.arcs)))
-            if best is None or key < best[0]:
-                best = (key, mapping)
-            return
-        for v in target:
-            descend(_individualize(colours, v))
-
-    descend((0,) * d.n)
-    assert best is not None
-    return best
-
-
-def canonical_key(d: Digraph) -> CanonicalKey:
-    return canonical_labelling(d)[0]
-
-
-def find_isomorphism(d1: Digraph, d2: Digraph) -> Optional[dict[int, int]]:
-    """A vertex map turning d1 into d2, or None when not isomorphic."""
-    if d1.n != d2.n or d1.arc_count() != d2.arc_count():
-        return None
-    key1, map1 = canonical_labelling(d1)
-    key2, map2 = canonical_labelling(d2)
-    if key1 != key2:
-        return None
-    inverse2 = {pos: v for v, pos in map2.items()}
-    iso = {v: inverse2[map1[v]] for v in range(d1.n)}
-    relabelled = frozenset((iso[u], iso[w]) for u, w in d1.arcs)
-    if relabelled != d2.arcs:
-        raise InternalInconsistency("equal canonical forms but arc sets differ")
-    return iso
+def canonical_key(d: Digraph) -> tuple:
+    """(n, least relabelled arcs): equal exactly for isomorphic digraphs."""
+    best = None
+    stack = [[0] * d.n]
+    while stack:
+        colours = _refine(d, stack.pop())
+        ordered = sorted(colours)
+        cell = next((a for a, b in zip(ordered, ordered[1:]) if a == b), None)
+        if cell is None:
+            arcs = tuple(sorted((colours[u], colours[w]) for u, w in d.arcs))
+            best = arcs if best is None or arcs < best else best
+            continue
+        split = [2 * c + (c == cell) for c in colours]
+        for v in range(d.n):
+            if colours[v] == cell:
+                stack.append(split[:v] + [2 * cell] + split[v + 1 :])
+    return (d.n, best)

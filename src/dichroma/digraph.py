@@ -60,9 +60,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adj), default=0)
-
     def connected_components(self) -> list[frozenset[int]]:
         seen = [False] * self.n
         comps = []

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
 from typing import Iterator, Mapping, Optional
 
 from .canon import canonical_key
@@ -356,12 +356,21 @@ def verify_delmin(d: Digraph, eps, cap: int = EXACT_CHI_CAP) -> DelminRecord:
     return record
 
 
-_EXHAUSTIVE_CAPS = {"tournament": 6, "digraph": 4}
+_EXHAUSTIVE_CAPS = {"tournament": 8, "digraph": 5}
 
 
 def nonisomorphic_digraphs(n: int, family: str = "tournament") -> Iterator[Digraph]:
-    """All digraphs on n vertices in the family, one per isomorphism class,
-    by brute enumeration behind canonical-form dedup."""
+    """All digraphs on n vertices in the family, one per isomorphism class.
+
+    The classes are grown one vertex at a time (naive orderly generation,
+    McKay 1998): each class on k vertices is joined to a new vertex k in
+    every allowed way, and the first digraph reached for each canonical key
+    is kept.  A join gives each pair (u, k) a state whose bit 1 is the arc
+    u -> k and bit 2 the arc k -> u.  Classes come in the order first
+    reached: parent-class order, then `itertools.product` order over the
+    states of the pairs (0, k), ..., (k - 1, k).  The family and size are
+    checked on the call; the classes are built on iteration.
+    """
     if family not in _EXHAUSTIVE_CAPS:
         raise InvalidParameter(f"unknown family {family!r}")
     if n < 0 or n > _EXHAUSTIVE_CAPS[family]:
@@ -369,22 +378,26 @@ def nonisomorphic_digraphs(n: int, family: str = "tournament") -> Iterator[Digra
             f"exhaustive {family} enumeration capped at"
             f" {_EXHAUSTIVE_CAPS[family]} vertices"
         )
-    pairs = list(combinations(range(n), 2))
-    states = (1, 2) if family == "tournament" else (0, 1, 2, 3)
-    seen: set = set()
-    for choice in product(states, repeat=len(pairs)):
-        arcs: list[tuple[int, int]] = []
-        for (u, v), s in zip(pairs, choice):
-            if s & 1:
-                arcs.append((u, v))
-            if s & 2:
-                arcs.append((v, u))
-        d = Digraph(n, arcs)
-        key = canonical_key(d)
-        if key in seen:
-            continue
-        seen.add(key)
-        yield d
+    return _grown_classes(n, (1, 2) if family == "tournament" else (0, 1, 2, 3))
+
+
+def _grown_classes(n: int, states: tuple[int, ...]) -> Iterator[Digraph]:
+    level = [Digraph(0, [])]
+    for k in range(n):
+        seen: set[tuple] = set()
+        grown: list[Digraph] = []
+        for d in level:
+            for choice in product(states, repeat=k):
+                arcs = list(d.arcs)
+                arcs += [(u, k) for u, s in enumerate(choice) if s & 1]
+                arcs += [(k, u) for u, s in enumerate(choice) if s & 2]
+                child = Digraph(k + 1, arcs)
+                key = canonical_key(child)
+                if key not in seen:
+                    seen.add(key)
+                    grown.append(child)
+        level = grown
+    yield from level
 
 
 @dataclass(frozen=True)
@@ -407,8 +420,6 @@ _HUNT_DEFAULTS: dict[str, object] = {
     "eps": None,
     "family": "tournament",
 }
-
-_HUNT_KEY_ALIASES = {"nMax": "n_max"}
 
 
 def _workers() -> int:
@@ -435,7 +446,6 @@ def hunt(config: Mapping[str, object]) -> HuntReport:
     """
     settings = dict(_HUNT_DEFAULTS)
     for key, value in config.items():
-        key = _HUNT_KEY_ALIASES.get(key, key)
         if key not in settings:
             raise InvalidParameter(f"unknown hunt setting {key!r}")
         settings[key] = value
@@ -466,8 +476,10 @@ def hunt(config: Mapping[str, object]) -> HuntReport:
             d = random_digraph(n_max, p_digon, p_simple, seed=inst_seed)
             jobs.append((d, eps, f"random-n{n_max}-{i:05d}", inst_seed))
     else:
-        for n in range(1, n_max + 1):
-            for i, d in enumerate(nonisomorphic_digraphs(n, str(family))):
+        # every size passes the enumeration's guards before any is built
+        sizes = [nonisomorphic_digraphs(n, str(family)) for n in range(1, n_max + 1)]
+        for n, classes in enumerate(sizes, 1):
+            for i, d in enumerate(classes):
                 jobs.append((d, eps, f"{family}-n{n}-{i:05d}", None))
 
     workers = _workers()

@@ -186,3 +186,40 @@ def dichoosable_brute(n: int, arcs, k: int, universe: Optional[int] = None) -> b
 
 def isomorphic(n1: int, arcs1, n2: int, arcs2) -> bool:
     return nx.is_isomorphic(to_nx(n1, arcs1), to_nx(n2, arcs2))
+
+
+def maximum_bicliques(n: int, arcs, vertices=None) -> list[frozenset[int]]:
+    """The largest vertex sets joined pairwise by digons, among `vertices`
+    (all n by default), as maximal cliques of the networkx digon graph."""
+    arcs = set(arcs)
+    g = nx.Graph()
+    g.add_nodes_from(range(n) if vertices is None else vertices)
+    g.add_edges_from(
+        (u, v) for u, v in arcs if (v, u) in arcs and u in g and v in g
+    )
+    cliques = [frozenset(c) for c in nx.find_cliques(g)]
+    omega = max(map(len, cliques), default=0)
+    return [c for c in cliques if len(c) == omega]
+
+
+def least_biclique_transversal(n: int, arcs) -> Optional[frozenset[int]]:
+    """A least acyclic vertex set meeting every maximum biclique, or None
+    when no acyclic set meets them all."""
+    maxima = maximum_bicliques(n, arcs)
+    for size in range(n + 1):
+        for combo in combinations(range(n), size):
+            if all(b.intersection(combo) for b in maxima) and acyclic(n, arcs, combo):
+                return frozenset(combo)
+    return None
+
+
+def cycle_blowup_arcs(n_cycle: int, p: int) -> set[tuple[int, int]]:
+    """Arcs of C_n[K_p]: parts {i*p, ..., i*p + p - 1} in cyclic order, a digon
+    between any two vertices in the same or in consecutive parts."""
+    part = [i // p for i in range(n_cycle * p)]
+    return {
+        (u, v)
+        for u in range(n_cycle * p)
+        for v in range(n_cycle * p)
+        if u != v and (part[u] - part[v]) % n_cycle in (0, 1, n_cycle - 1)
+    }

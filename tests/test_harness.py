@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import mpmath
+import networkx as nx
 import pytest
 
+from dichroma.asr import biclique_transversal
 from dichroma.digraph import (
     Digraph,
     complete_digraph,
@@ -36,7 +38,14 @@ from dichroma.params import (
 )
 from dichroma.solver import dichromatic_number
 
-from .oracles import isomorphic
+from .oracles import (
+    acyclic,
+    cycle_blowup_arcs,
+    isomorphic,
+    least_biclique_transversal,
+    maximum_bicliques,
+    to_nx,
+)
 
 A0 = Fraction(1, 600)
 DELTA2 = 1_790_939
@@ -160,17 +169,50 @@ def test_verify_delmin_records() -> None:
         verify_delmin(complete_digraph(10), eps)
 
 
-def test_enumeration_counts() -> None:
-    assert [sum(1 for _ in nonisomorphic_digraphs(n)) for n in range(1, 6)] == [
-        1,
-        1,
-        2,
-        4,
-        12,
-    ]
-    assert [
-        sum(1 for _ in nonisomorphic_digraphs(n, "digraph")) for n in range(1, 5)
-    ] == [1, 3, 16, 218]
+_TOURNAMENT_CLASSES = [1, 1, 2, 4, 12, 56, 456]  # OEIS A000568, n = 1..7
+_DIGRAPH_CLASSES = [1, 3, 16, 218, 9608]  # OEIS A000273, n = 1..5
+
+
+@pytest.fixture(scope="module")
+def digraph_classes_5() -> list[Digraph]:
+    return list(nonisomorphic_digraphs(5, "digraph"))
+
+
+def test_enumeration_counts(digraph_classes_5) -> None:
+    tournaments = [sum(1 for _ in nonisomorphic_digraphs(n)) for n in range(1, 8)]
+    assert tournaments == _TOURNAMENT_CLASSES
+    digraphs = [sum(1 for _ in nonisomorphic_digraphs(n, "digraph")) for n in range(1, 5)]
+    assert digraphs + [len(digraph_classes_5)] == _DIGRAPH_CLASSES
+
+
+def test_transversal_theorem_on_every_five_vertex_class(digraph_classes_5) -> None:
+    """Each connected class with 3 omega_bi >= 2 (Delta_max + 1) has an
+    acyclic set meeting every maximum biclique, except the bidirected C5."""
+    audited = obstructions = 0
+    for d in digraph_classes_5:
+        arcs = sorted(d.arcs)
+        delta = max(max(d.out_degree(v), d.in_degree(v)) for v in range(d.n))
+        maxima = maximum_bicliques(d.n, arcs)
+        omega = len(maxima[0])
+        if 3 * omega < 2 * (delta + 1) or not nx.is_weakly_connected(to_nx(d.n, arcs)):
+            continue
+        audited += 1
+        least = least_biclique_transversal(d.n, arcs)
+        outcome = biclique_transversal(d, delta)
+        hit = outcome.hitting_set
+        assert (hit is None) == (least is None), arcs
+        if hit is None:
+            obstructions += 1
+            iso = outcome.isomorphism
+            assert outcome.obstruction == (5, 1)
+            assert sorted(iso.values()) == list(range(d.n))
+            assert {(iso[u], iso[v]) for u, v in arcs} == cycle_blowup_arcs(5, 1)
+            continue
+        assert acyclic(d.n, arcs, hit), arcs
+        assert all(b & hit for b in maxima), arcs
+        rest = [v for v in range(d.n) if v not in hit]
+        assert max(map(len, maximum_bicliques(d.n, arcs, rest)), default=0) == omega - 1
+    assert (audited, obstructions) == (667, 1)
 
 
 def test_enumeration_classes_distinct() -> None:
@@ -182,9 +224,9 @@ def test_enumeration_classes_distinct() -> None:
 
 def test_enumeration_guards() -> None:
     with pytest.raises(InvalidParameter):
-        list(nonisomorphic_digraphs(7, "tournament"))
+        list(nonisomorphic_digraphs(9, "tournament"))
     with pytest.raises(InvalidParameter):
-        list(nonisomorphic_digraphs(5, "digraph"))
+        list(nonisomorphic_digraphs(6, "digraph"))
     with pytest.raises(InvalidParameter):
         list(nonisomorphic_digraphs(3, "graph"))
 
@@ -213,8 +255,10 @@ def test_hunt_random_deterministic(monkeypatch) -> None:
 
 
 def test_hunt_nmax_alias_and_empty() -> None:
-    report = hunt({"mode": "random", "nMax": 4, "count": 0})
+    report = hunt({"mode": "random", "n_max": 4, "count": 0})
     assert report.records == ()
+    with pytest.raises(InvalidParameter):
+        hunt({"mode": "random", "nMax": 4, "count": 0})
     delmin = hunt(
         {"mode": "exhaustive", "n_max": 3, "bound": "delmin", "eps": Fraction(1, 3)}
     )
