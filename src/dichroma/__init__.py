@@ -86,6 +86,7 @@ from .params import (
     BicliqueReport,
     DegreeProfile,
     DensityReport,
+    biclique_number,
     biclique_report,
     degree_profile,
     delmin_bound,

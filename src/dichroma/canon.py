@@ -13,20 +13,20 @@ from __future__ import annotations
 from .digraph import Digraph
 
 
-def _refine(d: Digraph, colours: list[int]) -> list[int]:
+def _refine(adj: list[tuple[frozenset[int], ...]], colours: list[int]) -> list[int]:
     count = len(set(colours))
     while True:
         keys = [
             (
                 colours[v],
-                tuple(sorted(colours[u] for u in d.out_adj[v])),
-                tuple(sorted(colours[u] for u in d.in_adj[v])),
+                tuple(sorted(colours[u] for u in outs)),
+                tuple(sorted(colours[u] for u in ins)),
             )
-            for v in range(d.n)
+            for v, (outs, ins) in enumerate(adj)
         ]
         ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
         colours = [ranks[k] for k in keys]
-        if len(ranks) in (count, d.n):
+        if len(ranks) in (count, len(adj)):
             return colours
         count = len(ranks)
 
@@ -34,9 +34,10 @@ def _refine(d: Digraph, colours: list[int]) -> list[int]:
 def canonical_key(d: Digraph) -> tuple:
     """(n, least relabelled arcs): equal exactly for isomorphic digraphs."""
     best = None
+    adj = list(zip(d.out_adj, d.in_adj))
     stack = [[0] * d.n]
     while stack:
-        colours = _refine(d, stack.pop())
+        colours = _refine(adj, stack.pop())
         ordered = sorted(colours)
         cell = next((a for a, b in zip(ordered, ordered[1:]) if a == b), None)
         if cell is None:

@@ -6,16 +6,17 @@ directed cycle of length two throughout the package.  The symmetric part S(D)
 is the graph of digons, the underlying graph UG(D) the graph of all adjacent
 pairs.
 
-Instances are immutable after construction (adjacency stored as tuples of
-frozensets, and as int bitmasks cached on first read of ``Digraph.masks``),
-so they can be shared freely across worker processes.
+Instances are immutable after construction: the constructor stores the arcs
+and their int-bitmask adjacency ``Digraph.masks``, and the frozenset
+adjacency is derived on first read, so they can be shared freely across
+worker processes.
 """
 
 from __future__ import annotations
 
 import random
 from itertools import islice
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InstanceTooLarge, InvalidParameter, InvalidVertex, SelfLoop
 
@@ -57,9 +58,6 @@ class Graph:
     def __repr__(self):
         return f"Graph(n={self.n}, m={len(self.edges)})"
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def connected_components(self) -> list[frozenset[int]]:
         seen = [False] * self.n
         comps = []
@@ -82,35 +80,38 @@ class Graph:
 class Digraph:
     """Loopless digraph with frozen adjacency.
 
-    ``out_adj[v]`` / ``in_adj[v]`` are frozensets of out/in-neighbours.
-    ``masks`` caches them as int bitmasks on first read: n*n/4 bytes at worst,
-    256 MiB at MAX_VERTICES.  Equality and hashing use only ``n`` and the arcs.
+    ``masks`` is the (out, in) pair of int bitmasks, built in the loop that
+    checks the arcs: bit w of out[v] is set iff v -> w, of in[v] iff w -> v;
+    n*n/4 bytes at worst, 256 MiB at MAX_VERTICES.  ``out_adj[v]`` /
+    ``in_adj[v]`` are the same neighbourhoods as frozensets, derived from
+    the arcs on first read.  Equality and hashing use only ``n`` and the
+    arcs.
     """
 
-    __slots__ = ("n", "out_adj", "in_adj", "_arcs", "_masks")
+    __slots__ = ("n", "masks", "_arcs", "_adj")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
             raise InvalidParameter("vertex count must be non-negative")
         if n > MAX_VERTICES:
             raise InstanceTooLarge(f"{n} vertices is past the cap of {MAX_VERTICES}")
-        out_adj = [set() for _ in range(n)]
-        in_adj = [set() for _ in range(n)]
+        out, inn = [0] * n, [0] * n
+        pairs = set()
         arcs = iter(arcs)
         for u, v in islice(arcs, MAX_ARCS):
             if not (0 <= u < n and 0 <= v < n):
                 raise InvalidVertex(f"arc endpoint out of range: {(u, v)}")
             if u == v:
                 raise SelfLoop(f"loop at vertex {u}")
-            out_adj[u].add(v)
-            in_adj[v].add(u)
+            out[u] |= 1 << v
+            inn[v] |= 1 << u
+            pairs.add((u, v))
         if next(arcs, None) is not None:
             raise InstanceTooLarge(f"more than {MAX_ARCS} arcs")
         self.n = n
-        self.out_adj = tuple(frozenset(a) for a in out_adj)
-        self.in_adj = tuple(frozenset(a) for a in in_adj)
-        self._arcs = frozenset((u, v) for u in range(n) for v in out_adj[u])
-        self._masks = None
+        self.masks = (tuple(out), tuple(inn))
+        self._arcs = frozenset(pairs)
+        self._adj = None
 
     # -- basic queries -------------------------------------------------
 
@@ -118,29 +119,32 @@ class Digraph:
     def arcs(self) -> frozenset[tuple[int, int]]:
         return self._arcs
 
-    @property
-    def masks(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(out, in): bit w of out[v] is set iff v -> w, of in[v] iff w -> v."""
-        if self._masks is None:
-            self._masks = tuple(
-                tuple(sum(1 << w for w in a) for a in adj) for adj in (self.out_adj, self.in_adj)
-            )
-        return self._masks
+    def _frozen_adj(self) -> tuple[tuple[frozenset[int], ...], ...]:
+        if self._adj is None:  # one pass over the arcs beats reading the masks
+            out, inn = [[] for _ in range(self.n)], [[] for _ in range(self.n)]
+            for u, v in self._arcs:
+                out[u].append(v)
+                inn[v].append(u)
+            self._adj = tuple(tuple(map(frozenset, side)) for side in (out, inn))
+        return self._adj
+
+    out_adj = property(lambda self: self._frozen_adj()[0], doc="Out-neighbourhood frozensets.")
+    in_adj = property(lambda self: self._frozen_adj()[1], doc="In-neighbourhood frozensets.")
 
     def arc_count(self) -> int:
         return len(self._arcs)
 
     def has_arc(self, u: int, v: int) -> bool:
-        return v in self.out_adj[u]
+        return (u, v) in self._arcs
 
     def has_digon(self, u: int, v: int) -> bool:
-        return v in self.out_adj[u] and u in self.out_adj[v]
+        return (u, v) in self._arcs and (v, u) in self._arcs
 
     def out_degree(self, v: int) -> int:
-        return len(self.out_adj[v])
+        return self.masks[0][v].bit_count()
 
     def in_degree(self, v: int) -> int:
-        return len(self.in_adj[v])
+        return self.masks[1][v].bit_count()
 
     def digon_neighbours(self, v: int) -> frozenset[int]:
         return self.out_adj[v] & self.in_adj[v]
@@ -191,23 +195,23 @@ class Digraph:
         return Digraph(self.n, list(self._arcs) + list(extra))
 
     def is_acyclic(self, vertices: Optional[Iterable[int]] = None) -> bool:
-        """Kahn's algorithm on the induced subdigraph (digons are 2-cycles)."""
+        """Kahn's algorithm on the induced subdigraph (digons are 2-cycles),
+        over the masks: sources leave one at a time until none is left."""
+        out, inn = self.masks
         if vertices is None:
-            inside = set(range(self.n))
+            left = (1 << self.n) - 1
         else:
-            inside = set(vertices)
-        indeg = {v: len(self.in_adj[v] & inside) for v in inside}
-        queue = [v for v, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            u = queue.pop()
-            seen += 1
-            for w in self.out_adj[u]:
-                if w in inside:
-                    indeg[w] -= 1
-                    if indeg[w] == 0:
-                        queue.append(w)
-        return seen == len(inside)
+            left = 0
+            for v in vertices:
+                left |= 1 << v
+        sources = [v for v in _bits(left) if not inn[v] & left]
+        while sources:
+            u = sources.pop()
+            left ^= 1 << u
+            for w in _bits(out[u] & left):
+                if not inn[w] & left:
+                    sources.append(w)
+        return not left
 
     def is_connected(self) -> bool:
         """Weak connectivity (of the underlying graph); empty digraph counts as connected."""
@@ -221,6 +225,14 @@ class Digraph:
                     seen.add(w)
                     stack.append(w)
         return len(seen) == self.n
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 # -- constructors -------------------------------------------------------

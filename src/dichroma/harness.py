@@ -29,7 +29,7 @@ from .errors import InstanceTooLarge, InternalInconsistency, InvalidParameter
 from .exactmath import compare_to_ln_cubed, e7_bounds, geq_sqrt
 from .params import (
     DegreeProfile,
-    biclique_report,
+    biclique_number,
     degree_profile,
     delmin_bound,
     directed_clique_number,
@@ -182,7 +182,7 @@ def claim_degree_spread(d: Digraph, gamma_eps) -> bool:
 def claim_biclique_small(d: Digraph) -> bool:
     """Whether the digon clique number is at most two thirds of
     (maximum degree + 1); again required of a minimum counterexample."""
-    return 3 * biclique_report(d).omega_bi <= 2 * (degree_profile(d).delta_max + 1)
+    return 3 * biclique_number(d) <= 2 * (degree_profile(d).delta_max + 1)
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ def _exact_parameters(d: Digraph, cap: int) -> tuple[DegreeProfile, int, int, in
             f"exact verification capped at {cap} vertices, got {d.n}"
         )
     profile = degree_profile(d)
-    omega_bi = biclique_report(d).omega_bi
+    omega_bi = biclique_number(d)
     omega_dir = directed_clique_number(d, omega_bi)
     return profile, omega_bi, omega_dir, dichromatic_number(d, omega_bi)
 
@@ -335,7 +335,7 @@ def verify_delmin(d: Digraph, eps, cap: int = EXACT_CHI_CAP) -> DelminRecord:
     start = time.perf_counter()
     profile, omega_bi, omega_dir, chi = _exact_parameters(d, cap)
     h = delmin_reduction(d)
-    h_omega_bi = biclique_report(h).omega_bi
+    h_omega_bi = biclique_number(h)
     record = DelminRecord(
         n=d.n,
         delta_min=profile.delta_min,
@@ -371,19 +371,27 @@ def nonisomorphic_digraphs(n: int, family: str = "tournament") -> Iterator[Digra
     states of the pairs (0, k), ..., (k - 1, k).  The family and size are
     checked on the call; the classes are built on iteration.
     """
+    levels = _class_levels(n, family)
+    return (d for k, level in enumerate(levels) if k == n for d in level)  # the last level
+
+
+def _class_levels(n_max: int, family: str) -> Iterator[list[Digraph]]:
+    """The classes on 0, 1, ..., n_max vertices, level by level from one
+    growth; the family and size are checked on the call."""
     if family not in _EXHAUSTIVE_CAPS:
         raise InvalidParameter(f"unknown family {family!r}")
-    if n < 0 or n > _EXHAUSTIVE_CAPS[family]:
+    if n_max < 0 or n_max > _EXHAUSTIVE_CAPS[family]:
         raise InvalidParameter(
             f"exhaustive {family} enumeration capped at"
             f" {_EXHAUSTIVE_CAPS[family]} vertices"
         )
-    return _grown_classes(n, (1, 2) if family == "tournament" else (0, 1, 2, 3))
+    return _grown_levels(n_max, (1, 2) if family == "tournament" else (0, 1, 2, 3))
 
 
-def _grown_classes(n: int, states: tuple[int, ...]) -> Iterator[Digraph]:
+def _grown_levels(n_max: int, states: tuple[int, ...]) -> Iterator[list[Digraph]]:
     level = [Digraph(0, [])]
-    for k in range(n):
+    yield level
+    for k in range(n_max):
         seen: set[tuple] = set()
         grown: list[Digraph] = []
         for d in level:
@@ -397,7 +405,7 @@ def _grown_classes(n: int, states: tuple[int, ...]) -> Iterator[Digraph]:
                     seen.add(key)
                     grown.append(child)
         level = grown
-    yield from level
+        yield level
 
 
 @dataclass(frozen=True)
@@ -476,9 +484,11 @@ def hunt(config: Mapping[str, object]) -> HuntReport:
             d = random_digraph(n_max, p_digon, p_simple, seed=inst_seed)
             jobs.append((d, eps, f"random-n{n_max}-{i:05d}", inst_seed))
     else:
-        # every size passes the enumeration's guards before any is built
-        sizes = [nonisomorphic_digraphs(n, str(family)) for n in range(1, n_max + 1)]
-        for n, classes in enumerate(sizes, 1):
+        # the guards pass before any class is built, and one growth gives
+        # every level; level 0, the empty digraph, is not hunted
+        levels = _class_levels(n_max, str(family))
+        next(levels)
+        for n, classes in enumerate(levels, 1):
             for i, d in enumerate(classes):
                 jobs.append((d, eps, f"{family}-n{n}-{i:05d}", None))
 

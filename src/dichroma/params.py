@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional
 
-from .digraph import Digraph, Graph
+from .digraph import Digraph, Graph, _bits
 from .errors import CapExceeded, InternalInconsistency, InvalidParameter
 from .exactmath import ceil_sqrt
 
@@ -71,10 +71,9 @@ class BicliqueReport:
 
 
 def degree_profile(d: Digraph) -> DegreeProfile:
-    d_out = tuple(d.out_degree(v) for v in range(d.n))
-    d_in = tuple(d.in_degree(v) for v in range(d.n))
-    d_max = tuple(max(o, i) for o, i in zip(d_out, d_in))
-    d_min = tuple(min(o, i) for o, i in zip(d_out, d_in))
+    d_out, d_in = (tuple(m.bit_count() for m in side) for side in d.masks)
+    d_max = tuple(map(max, d_out, d_in))
+    d_min = tuple(map(min, d_out, d_in))
     geo_sq = tuple(o * i for o, i in zip(d_out, d_in))
     profile = DegreeProfile(
         d_out=d_out,
@@ -99,11 +98,13 @@ def degree_profile(d: Digraph) -> DegreeProfile:
 def density_report(d: Digraph) -> DensityReport:
     delta = degree_profile(d).delta_max
 
-    def arcs_within(s: frozenset[int]) -> int:
-        return sum(len(d.out_adj[u] & s) for u in s)
+    out, inn = d.masks
 
-    m_plus = tuple(arcs_within(d.out_adj[v]) for v in range(d.n))
-    m_minus = tuple(arcs_within(d.in_adj[v]) for v in range(d.n))
+    def arcs_within(s: int) -> int:
+        return sum((out[u] & s).bit_count() for u in _bits(s))
+
+    m_plus = tuple(map(arcs_within, out))
+    m_minus = tuple(map(arcs_within, inn))
     bv = tuple(
         delta * (delta - 1) - min(p, m) for p, m in zip(m_plus, m_minus)
     )
@@ -157,12 +158,44 @@ def biclique_report(d: Digraph, cap: int = 10**6) -> BicliqueReport:
     return BicliqueReport(omega, tuple(maximum), components)
 
 
-def _bits(mask: int) -> Iterator[int]:
-    """Indices of the set bits of mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _clique_number(adj: list[int], n: int, best: int, top: int) -> int:
+    """Largest clique of the graph with bitmask adjacency adj if it beats
+    best, stopping at top.  Explicit-stack branch and bound: branch on the
+    candidates outside the neighbourhood of a pivot with the most candidate
+    neighbours, and prune when the clique plus the candidates left cannot
+    beat best; candidates v and v + n count once, v < n."""
+    low = (1 << n) - 1
+    stack = [(0, (1 << len(adj)) - 1)]  # clique size, candidates
+    while stack and best < top:
+        r, p = stack.pop()
+        if r + ((p | p >> n) & low).bit_count() <= best:
+            continue
+        if r >= best:
+            best = r + 1
+        pivot = most = -1
+        rest = p
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            u = bit.bit_length() - 1
+            count = (p & adj[u]).bit_count()
+            if count > most:
+                pivot, most = u, count
+        rest = p & ~adj[pivot]
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            p ^= bit
+            inside = p & adj[bit.bit_length() - 1]
+            if inside:
+                stack.append((r + 1, inside))
+    return best
+
+
+def biclique_number(d: Digraph) -> int:
+    """omega_bi, the clique number of the digon graph, without listing the
+    maximal bicliques that biclique_report groups."""
+    return _clique_number([o & i for o, i in zip(*d.masks)], d.n, 0, d.n)
 
 
 def directed_clique_number(d: Digraph, omega_bi: Optional[int] = None) -> int:
@@ -171,33 +204,19 @@ def directed_clique_number(d: Digraph, omega_bi: Optional[int] = None) -> int:
     The clique number of a graph on two copies of V: copy v means v in X1,
     copy v + n means v in X2.  Copies on one side are adjacent when their
     vertices form a digon, copy v is adjacent to copy w + n when v -> w, and
-    the two copies of a vertex never are.  Maximum clique by explicit-stack
-    branch and bound over 2n-bit masks: start at best = omega_bi (X2 empty),
-    branch on the candidates outside a pivot's neighbourhood, prune when the
-    clique plus the vertices left (either copy, counted once) cannot beat
-    best, and stop at min(n, 2 * omega_bi).  Pass omega_bi when known.
+    the two copies of a vertex never are.  _clique_number starts at
+    best = omega_bi (X2 empty), counts the two copies of a vertex once in
+    its bound, and stops at min(n, 2 * omega_bi).  Pass omega_bi when known.
     """
     n = d.n
-    omega = biclique_report(d).omega_bi if omega_bi is None else omega_bi
+    omega = biclique_number(d) if omega_bi is None else omega_bi
     top = min(n, 2 * omega)  # X1 and X2 are disjoint bicliques
     if omega == top:
         return omega
     out, inn = d.masks
     adj = [o & i | o << n for o, i in zip(out, inn)]
     adj += [(o & i) << n | i for o, i in zip(out, inn)]
-    best, low = omega, (1 << n) - 1
-    stack = [(0, (1 << 2 * n) - 1)]  # clique size, candidate copies
-    while stack and best < top:
-        r, p = stack.pop()
-        if r + ((p | p >> n) & low).bit_count() <= best:
-            continue
-        best = max(best, r + 1)
-        pivot = max(_bits(p), key=lambda u: (p & adj[u]).bit_count())
-        for v in _bits(p & ~adj[pivot]):
-            p ^= 1 << v
-            if p & adj[v]:
-                stack.append((r + 1, p & adj[v]))
-    return best
+    return _clique_number(adj, n, omega, top)
 
 
 def reed_bound(profile: DegreeProfile, omega_bi: int) -> int:

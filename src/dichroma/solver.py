@@ -7,13 +7,14 @@ produce colours 0..k-1.
 
 Every exact search here and in the asr module runs on one engine, _search:
 an explicit-stack backtracking over int bitmasks, so its depth is not
-bounded by the recursion limit.  It reads adjacency from Digraph.masks,
-which each digraph builds once.  It branches on the vertex with the fewest
-colours left (DSATUR order, Brelaz 1979), highest total degree first on a
-tie, and each placement strikes the colours it rules out for the vertices
-still to come (forward checking).  Empty colours that the same vertices
-allow are interchangeable and tried once, so a k-dicolouring opens at most
-one new class per vertex.  Each returned witness is checked with is_valid.
+bounded by the recursion limit.  It reads Digraph.masks, built with the
+digraph.  It branches on the vertex with the fewest colours left (DSATUR
+order, Brelaz 1979), highest total degree first on a tie, and each
+placement strikes the colours it rules out for the vertices still to come
+(forward checking).  Empty colours that the same vertices allow are
+interchangeable and tried once, so a k-dicolouring opens at most one new
+class per vertex.  Each returned witness is checked with is_valid, a Kahn
+pass over the masks of each colour class.
 
 Dichoosability is decided without enumerating raw list assignments, which is
 hopeless even at n = 6.  Three exact reductions shrink the search:
@@ -49,7 +50,7 @@ from .errors import (
     MissingList,
     NotPartialKL,
 )
-from .params import biclique_report, degree_profile
+from .params import biclique_number, degree_profile
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,6 @@ class Dicolouring:
 
 ListAssignment = Mapping[int, frozenset[int]]
 """Per-vertex colour lists; a k-list assignment gives every vertex >= k colours."""
-
-
-def _colour_classes(assignment: Mapping[int, int]) -> dict[int, set[int]]:
-    classes: dict[int, set[int]] = {}
-    for v, c in assignment.items():
-        classes.setdefault(c, set()).add(v)
-    return classes
 
 
 def _closes_cycle(out: Sequence[int], inn: Sequence[int], cls: int, v: int) -> bool:
@@ -275,9 +269,10 @@ def is_valid(d: Digraph, c: Dicolouring, require_total: bool = False) -> bool:
             return False
     if require_total and not c.is_total(d.n):
         return False
-    return all(
-        d.is_acyclic(cls) for cls in _colour_classes(c.assignment).values()
-    )
+    classes: dict[int, list[int]] = {}
+    for v, colour in c.assignment.items():
+        classes.setdefault(colour, []).append(v)
+    return all(map(d.is_acyclic, classes.values()))
 
 
 def _branch_order(d: Digraph) -> list[int]:
@@ -318,7 +313,7 @@ def optimal_dicolouring(d: Digraph, omega_bi: Optional[int] = None) -> Dicolouri
     order = _branch_order(d)
     if d.is_acyclic():
         return Dicolouring(1, dict.fromkeys(order, 0))
-    k = max(2, biclique_report(d).omega_bi if omega_bi is None else omega_bi)
+    k = max(2, biclique_number(d) if omega_bi is None else omega_bi)
     while (found := _k_search(d, order, k)) is None:
         k += 1
     return found

@@ -1,5 +1,6 @@
 """Digraph and graph containers, constructors, and structural queries."""
 
+import pickle
 import random
 from itertools import repeat
 from operator import length_hint
@@ -56,6 +57,51 @@ def test_arc_cap_counts_duplicates() -> None:
     with pytest.raises(InstanceTooLarge):
         Digraph(2, arcs)
     assert length_hint(arcs) == 1  # it read MAX_ARCS + 1 arcs, then stopped
+
+
+def arc_lists(max_n: int = 9):
+    """(n, arcs) with repeated arcs, in any order."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+                    lambda a: a[0] != a[1]
+                ),
+                max_size=4 * n,
+            ).map(lambda arcs: arcs + arcs[::3]),
+        )
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(arc_lists())
+def test_digraph_views_agree(case) -> None:
+    n, arcs = case
+    d = Digraph(n, arcs)
+    want = set(arcs)
+    assert d.arcs == want and d.arc_count() == len(want)
+    out, inn = d.masks
+    assert len(out) == len(inn) == len(d.out_adj) == len(d.in_adj) == n
+    for v in range(n):
+        heads = {w for u, w in want if u == v}
+        tails = {u for u, w in want if w == v}
+        assert d.out_adj[v] == heads == {w for w in range(n) if out[v] >> w & 1}
+        assert d.in_adj[v] == tails == {w for w in range(n) if inn[v] >> w & 1}
+        assert out[v] >> n == inn[v] >> n == 0
+        assert d.out_degree(v) == len(heads) and d.in_degree(v) == len(tails)
+    assert sum(map(d.out_degree, range(n))) == sum(map(d.in_degree, range(n))) == len(want)
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and hash(copy) == hash(d) and copy.masks == d.masks
+    assert copy == Digraph(n, sorted(want)) and copy.out_adj == d.out_adj
+
+
+def test_first_bad_arc_decides_the_error() -> None:
+    assert Digraph(0, []).masks == ((), ())
+    with pytest.raises(SelfLoop):
+        Digraph(3, [(0, 1), (2, 2), (0, 5)])
+    with pytest.raises(InvalidVertex):
+        Digraph(3, [(0, 1), (0, 5), (2, 2)])
 
 
 def test_neighbourhoods() -> None:

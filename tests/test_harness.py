@@ -1,5 +1,6 @@
 """Constants, per-instance verification, the min-degree reduction, and hunts."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import mpmath
 import networkx as nx
 import pytest
 
+from dichroma import harness
 from dichroma.asr import biclique_transversal
 from dichroma.digraph import (
     Digraph,
@@ -240,6 +242,26 @@ def test_hunt_exhaustive() -> None:
     digraphs = hunt({"mode": "exhaustive", "n_max": 3, "family": "digraph"})
     assert len(digraphs.records) == 20  # 1 + 3 + 16 digraph classes
     assert digraphs.violations == ()
+
+
+def test_hunt_exhaustive_grows_the_classes_once(monkeypatch) -> None:
+    keyed = []
+    key = harness.canonical_key
+    monkeypatch.setattr(harness, "canonical_key", lambda d: keyed.append(d.n) or key(d))
+    monkeypatch.setenv("DICHROMA_THREADS", "1")
+    report = hunt({"mode": "exhaustive", "n_max": 6})
+    # one growth to n = 6 keys 2^k children of each class on k <= 5 vertices
+    assert len(keyed) == 471
+    sizes = [1, 1, 2, 4, 12, 56]
+    ids = [f"tournament-n{n}-{i:05d}" for n, c in enumerate(sizes, 1) for i in range(c)]
+    assert [r.instance_id for r in report.records] == ids
+    each = [
+        verify_instance(d, Fraction(1, 2), f"tournament-n{n}-{i:05d}")
+        for n in range(1, 7)
+        for i, d in enumerate(nonisomorphic_digraphs(n))
+    ]
+    timeless = lambda r: dataclasses.replace(r, runtime=0.0)
+    assert list(map(timeless, report.records)) == list(map(timeless, each))
 
 
 def test_hunt_random_deterministic(monkeypatch) -> None:

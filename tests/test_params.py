@@ -27,6 +27,7 @@ from dichroma.digraph import (
 from dichroma.errors import CapExceeded, InvalidParameter
 from dichroma.params import (
     DegreeProfile,
+    biclique_number,
     biclique_report,
     degree_profile,
     delmin_bound,
@@ -105,7 +106,31 @@ def test_omega_bi_is_symmetric_clique_number(n: int, seed: int) -> None:
     digons = [
         (u, v) for u in range(n) for v in range(u) if d.has_digon(u, v)
     ]
-    assert biclique_report(d).omega_bi == max(clique_number(n, digons), 1 if n else 0)
+    expected = max(clique_number(n, digons), 1 if n else 0)
+    assert biclique_report(d).omega_bi == expected
+    assert biclique_number(d) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 14), st.integers(0, 2**30))
+def test_biclique_number_matches_the_report(n: int, seed: int) -> None:
+    rng = random.Random(seed)
+    pd = rng.random()
+    d = random_digraph(n, pd, rng.random() * (1 - pd), seed=seed)
+    assert biclique_number(d) == biclique_report(d).omega_bi
+
+
+def test_biclique_number_examples() -> None:
+    assert biclique_number(Digraph(0, [])) == 0
+    assert biclique_number(Digraph(1, [])) == 1
+    assert biclique_number(directed_cycle(6)) == 1
+    assert biclique_number(complete_digraph(40)) == 40
+    assert biclique_number(obstruction(9, 3)) == 6
+    # a bidirected path longer than the recursion limit: the search keeps
+    # its own stack
+    n = max(2000, 3 * sys.getrecursionlimit())
+    path = [(v, v + 1) for v in range(n - 1)]
+    assert biclique_number(Digraph(n, path + [(v, u) for u, v in path])) == 2
 
 
 def _pairwise_components(maximum) -> tuple:
@@ -160,8 +185,9 @@ def test_biclique_report_deeper_than_the_recursion_limit() -> None:
     code = (
         "import sys; sys.setrecursionlimit(300)\n"
         "from dichroma.digraph import complete_digraph\n"
-        "from dichroma.params import biclique_report\n"
+        "from dichroma.params import biclique_number, biclique_report\n"
         "print(biclique_report(complete_digraph(400)).omega_bi)\n"
+        "print(biclique_number(complete_digraph(400)))\n"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -169,7 +195,7 @@ def test_biclique_report_deeper_than_the_recursion_limit() -> None:
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == ["400"]
+    assert done.stdout.split() == ["400", "400"]
 
 
 def test_biclique_cap_counts_maximal_cliques() -> None:
