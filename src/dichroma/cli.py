@@ -1,13 +1,16 @@
 """Command line front end.
 
-Every command reads digraphs from DGF files, writes one JSON document to
+Every command reads digraphs from DGF files, writes one line of JSON to
 standard output, and exits 0 on success, 1 when a hunted or checked bound
-is violated, and 2 on any error.
+is violated, and 2 on any error, usage errors included, with one line of
+JSON ``{"error", "message"}`` on standard error.  The argument parser is
+built once per process, on the first call to main.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -232,8 +235,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # usage errors exit 2 as JSON; subparsers inherit this
+        raise InvalidParameter(f"{self.prog}: {message}")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dichroma",
         description="digraph dicolouring laboratory",
     )
@@ -299,9 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.run(args)
     except DichromaError as err:
         sys.stderr.write(

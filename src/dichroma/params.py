@@ -236,10 +236,10 @@ def _eps_ratio(omega: int, eps) -> tuple[int, int]:
         raise InvalidParameter("clique number must be non-negative")
     if isinstance(eps, float):
         raise InvalidParameter("eps must be an exact rational, not a float")
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
+    e = eps if isinstance(eps, Fraction) else Fraction(eps)
+    if not 0 < e.numerator < e.denominator:  # the denominator is positive
         raise InvalidParameter("eps must satisfy 0 < eps < 1")
-    return eps.numerator, eps.denominator
+    return e.numerator, e.denominator
 
 
 def epsilon_bound(profile: DegreeProfile, omega_bi: int, eps: Fraction) -> int:

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -326,3 +327,113 @@ def test_unexpected_exception_exit_2(capsys, monkeypatch, triangle) -> None:
     code, out, err = _run(capsys, ["params", triangle])
     assert code == 2 and out is None
     assert err == {"error": "InternalError", "message": "RuntimeError: boom"}
+
+
+def _one_line(text: str):
+    assert text.endswith("\n") and text.count("\n") == 1, text
+    return json.loads(text)
+
+
+@pytest.fixture()
+def command_files(tmp_path, triangle, k4):
+    d = parse_dgf("n 4\n0 2\n2 1\n")
+    asr_dgf = tmp_path / "asr.dgf"
+    asr_dgf.write_text(emit_dgf(d), encoding="ascii")
+    parts = tmp_path / "parts.json"
+    parts.write_text(json.dumps([[0, 1], [2, 3]]), encoding="ascii")
+    circ = tmp_path / "circ.dgf"
+    circ.write_text(
+        "n 6\n" + "".join(f"{i} {(i + j) % 6}\n" for i in range(6) for j in (1, 2)),
+        encoding="ascii",
+    )
+    return {
+        "triangle": triangle,
+        "k4": k4,
+        "asr": str(asr_dgf),
+        "parts": str(parts),
+        "circ": str(circ),
+        "out": str(tmp_path / "gen.dgf"),
+    }
+
+
+_EVERY_COMMAND = {
+    "params": "params {triangle}",
+    "dicolor": "dicolor {triangle}",
+    "dicolor-k": "dicolor {triangle} --k 1",
+    "transversal": "transversal {k4}",
+    "asr": "asr {asr} --parts {parts} --k 1",
+    "sparse": "sparse {circ} --B 0 --seed 3",
+    "dense": "dense {k4} --a 1/600 --eps 1/1000000",
+    "check": "check {triangle}",
+    "check-delmin": "check {triangle} --bound delmin",
+    "hunt": "hunt --count 12 --n-max 5 --seed 4",
+    "hunt-exhaustive": "hunt --mode exhaustive --n-max 4 --family digraph",
+    "gen": "gen cycle 4",
+    "gen-output": "gen obstruction 3 1 -o {out}",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_EVERY_COMMAND))
+def test_every_command_writes_one_line(capsys, command_files, case) -> None:
+    assert main(_EVERY_COMMAND[case].format(**command_files).split()) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert isinstance(_one_line(captured.out), dict)
+
+
+_RUNTIME = re.compile(r'"runtime": [-+0-9.eE]+')
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "hunt --count 24 --n-max 6 --seed 3 --bound eps --eps 1/3",
+        "hunt --mode exhaustive --n-max 5 --bound delmin",
+    ],
+)
+def test_hunt_output_is_the_same_on_one_and_two_workers(capsys, monkeypatch, argv) -> None:
+    outputs = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("DICHROMA_THREADS", workers)
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert len(_RUNTIME.findall(out)) == len(json.loads(out)["records"]) > 8
+        outputs.append(_RUNTIME.sub("", out))
+    assert outputs[0] == outputs[1]
+
+
+_BAD_ARGV = {
+    "no-command": "",
+    "unknown-subcommand": "frobnicate {triangle}",
+    "missing-positional": "params",
+    "missing-required-flag": "asr {asr} --k 1",
+    "bad-int": "hunt --count x",
+    "bad-int-after-file": "dicolor {triangle} --k two",
+    "bad-choice": "check {triangle} --bound brooks",
+    "bad-choice-family": "hunt --family graph",
+    "unknown-flag": "hunt --bogus",
+    "unknown-flag-after-file": "params {triangle} --k 2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGV))
+def test_usage_errors_are_json(capsys, command_files, case) -> None:
+    argv = _BAD_ARGV[case].format(**command_files).split()
+    for _ in range(2):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = _one_line(captured.err)
+        assert set(err) == {"error", "message"}
+        assert err["error"] == "InvalidParameter" and err["message"]
+    # the parser is kept between calls; a failed parse leaves nothing behind
+    assert main(["params", command_files["triangle"]]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and _one_line(captured.out)["n"] == 3
+
+
+def test_help_still_exits_0(capsys) -> None:
+    with pytest.raises(SystemExit) as stop:
+        main(["hunt", "--help"])
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dichroma hunt")

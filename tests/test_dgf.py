@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -97,6 +98,20 @@ def test_emit_json_record() -> None:
     assert data["eps"] == "1/2"
     assert data["holds"]["reed"] is True
     assert data["violated"] == []
+
+
+def test_emit_json_is_one_line_with_a_maskable_runtime() -> None:
+    from fractions import Fraction
+
+    import numpy as np
+
+    rec = verify_instance(parse_dgf("n 3\n0 1\n1 2\n2 0\n"), Fraction(1, 3))
+    text = emit_json(rec)
+    assert text.endswith("\n") and text.count("\n") == 1
+    # benchmark and test comparisons mask the runtime with this pattern
+    assert re.search(r'"runtime": [-+0-9.eE]+', text)
+    # a float subclass stays a JSON number
+    assert json.loads(emit_json({"x": np.float64(0.25)})) == {"x": 0.25}
 
 
 def test_emit_json_digraph_and_sets() -> None:

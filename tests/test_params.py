@@ -340,6 +340,32 @@ def test_delmin_bound_worked_examples() -> None:
         delmin_bound(_profile(0, 3), -1, Fraction(1, 2))
 
 
+@pytest.mark.parametrize(
+    "eps, accepted",
+    [
+        (0, False),
+        (1, False),
+        (Fraction(-1, 2), False),
+        (Fraction(3, 2), False),
+        (0.5, False),
+        ("1/3", True),
+        (Fraction(1, 3), True),
+    ],
+)
+def test_eps_values_accepted_and_rejected(eps, accepted: bool) -> None:
+    # (1 - 1/3) * (5 + 1) + 4/3 = 16/3 and (1 - 1/3) * 5 + 4/3 = 14/3
+    checks = (
+        (lambda e: epsilon_bound(_profile(25), 4, e), 6),
+        (lambda e: delmin_bound(_profile(0, 5), 4, e), 5),
+    )
+    for bound, want in checks:
+        if accepted:
+            assert bound(eps) == want
+        else:
+            with pytest.raises(InvalidParameter):
+                bound(eps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     st.integers(0, 10**6),
