@@ -11,7 +11,7 @@ Random colouring of sparse digraphs, with accounting
 from dichroma.digraph import Digraph
 from dichroma.params import degree_profile, density_report
 from dichroma.solver import Dicolouring, is_valid
-from dichroma.sparse import diregularize, monte_carlo, sample_partial, sparse_dicolour, trial
+from dichroma.sparse import monte_carlo, sample_partial, sparse_dicolour, trial
 
 
 def circulant(n: int, jumps) -> Digraph:
@@ -49,13 +49,3 @@ print("sampled partial colouring found:", partial is not None)
 col = sparse_dicolour(d, b=min(report.bv), seed=5)
 print("sparse dicolouring uses", len(set(col.assignment.values())), "colours")
 print("valid:", is_valid(d, col, require_total=True))
-
-# Regularisation glues reversed copies until every degree equals Delta,
-# and it never changes m+ or m- of the original vertices.
-ragged = Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (0, 3), (5, 0)])
-reg = diregularize(ragged, degree_profile(ragged).delta_max)
-reg_profile = degree_profile(reg)
-print("regularized on", reg.n, "vertices, all degrees:",
-      set(reg_profile.d_out) | set(reg_profile.d_in))
-print("original densities preserved:",
-      density_report(reg).m_plus[: ragged.n] == density_report(ragged).m_plus)

@@ -56,14 +56,11 @@ from .errors import (
     SelfLoop,
 )
 from .exactmath import (
-    ceil_frac,
     ceil_sqrt,
     compare_to_ln_cubed,
     e7_bounds,
     floor_div_e7,
-    floor_frac,
     geq_sqrt,
-    gt_sqrt,
     ln_bounds,
 )
 from .harness import (
@@ -71,8 +68,6 @@ from .harness import (
     HuntReport,
     MainConstants,
     VerificationRecord,
-    claim_biclique_small,
-    claim_degree_spread,
     delmin_reduction,
     hunt,
     log_cubed_threshold,
@@ -110,7 +105,6 @@ from .solver import (
 from .sparse import (
     MonteCarloEstimates,
     SparseTrialState,
-    diregularize,
     monte_carlo,
     sample_partial,
     sparse_dicolour,

@@ -39,7 +39,7 @@ from .errors import (
     NoASR,
     PreconditionViolated,
 )
-from .params import biclique_report, degree_profile
+from .params import biclique_number, biclique_report, degree_profile
 from .solver import Dicolouring, ListAssignment, _closes_cycle, _search, is_valid
 
 
@@ -366,7 +366,7 @@ def _validate_outcome(d: Digraph, omega: int, outcome: TransversalOutcome) -> No
     if not d.is_acyclic(hit):
         raise _StructureMismatch("hitting set is not acyclic")
     remaining, _ = d.remove_vertices(hit)
-    if biclique_report(remaining).omega_bi != omega - 1:
+    if biclique_number(remaining) != omega - 1:
         raise _StructureMismatch("biclique number did not drop by one")
 
 
@@ -549,7 +549,7 @@ def _handle_path_chain(d, delta, q_parts, p) -> TransversalOutcome:
     if degree_profile(d_prime).delta_max > delta:
         raise _StructureMismatch("contracted digraph exceeds delta")
     omega = 2 * p
-    if biclique_report(d_prime).omega_bi != omega:
+    if biclique_number(d_prime) != omega:
         raise _StructureMismatch("contraction changed the biclique number")
 
     outcome = biclique_transversal(d_prime, delta)

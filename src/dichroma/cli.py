@@ -30,7 +30,7 @@ from .digraph import (
 from .errors import DichromaError, InvalidParameter, NoASR
 from .harness import hunt, verify_delmin, verify_instance
 from .params import (
-    biclique_report,
+    biclique_number,
     degree_profile,
     density_report,
     directed_clique_number,
@@ -60,7 +60,7 @@ def _cmd_params(args) -> int:
     d = _read_digraph(args.file)
     profile = degree_profile(d)
     density = density_report(d)
-    report = biclique_report(d)
+    omega_bi = biclique_number(d)
     _emit(
         {
             "n": d.n,
@@ -74,8 +74,8 @@ def _cmd_params(args) -> int:
             "m_plus": list(density.m_plus),
             "m_minus": list(density.m_minus),
             "bv": list(density.bv),
-            "omega_bi": report.omega_bi,
-            "omega_directed": directed_clique_number(d, report.omega_bi),
+            "omega_bi": omega_bi,
+            "omega_directed": directed_clique_number(d, omega_bi),
         }
     )
     return 0

@@ -28,8 +28,9 @@ from .errors import (
     NotDense,
     PreconditionViolated,
 )
+from .exactmath import exact_fraction
 from .matching import maximum_matching
-from .params import biclique_report, degree_profile, density_report
+from .params import biclique_number, degree_profile, density_report
 from .solver import (
     Dicolouring,
     is_valid,
@@ -39,9 +40,7 @@ from .solver import (
 
 
 def _check_density_parameter(a) -> Fraction:
-    if isinstance(a, float):
-        raise InvalidParameter("density parameter must be exact, not a float")
-    a = Fraction(a)
+    a = exact_fraction(a, "density parameter")
     if not 0 < a < 1:
         raise InvalidParameter("density parameter must lie strictly in (0, 1)")
     return a
@@ -264,9 +263,7 @@ def dense_reduce_theorem(d: Digraph, a, eps) -> DenseReport:
     k = max(chi(D - v), floor((1 - eps)(Delta + 1))), and audit the
     argument's internal bounds."""
     a = _check_density_parameter(a)
-    if isinstance(eps, float):
-        raise InvalidParameter("eps must be exact, not a float")
-    eps = Fraction(eps)
+    eps = exact_fraction(eps, "eps")
     # 0 < eps <= 1/6 - 4 sqrt(a), via (1/6 - eps)^2 >= 16 a
     gap = Fraction(1, 6) - eps
     if eps <= 0 or gap < 0 or gap * gap < 16 * a:
@@ -275,7 +272,7 @@ def dense_reduce_theorem(d: Digraph, a, eps) -> DenseReport:
     profile = degree_profile(d)
     delta = profile.delta_max
     degree_ok = delta >= delta_threshold(a)
-    omega = biclique_report(d).omega_bi
+    omega = biclique_number(d)
     biclique_ok = 3 * omega <= 2 * (delta + 1)
 
     located = find_dense_vertex(d, a)

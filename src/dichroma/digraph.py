@@ -146,12 +146,6 @@ class Digraph:
     def in_degree(self, v: int) -> int:
         return self.masks[1][v].bit_count()
 
-    def digon_neighbours(self, v: int) -> frozenset[int]:
-        return self.out_adj[v] & self.in_adj[v]
-
-    def neighbours(self, v: int) -> frozenset[int]:
-        return self.out_adj[v] | self.in_adj[v]
-
     def __eq__(self, other):
         return isinstance(other, Digraph) and self.n == other.n and self._arcs == other._arcs
 

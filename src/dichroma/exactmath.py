@@ -14,6 +14,15 @@ from math import isqrt
 
 from .errors import InvalidParameter
 
+
+def exact_fraction(value, name: str) -> Fraction:
+    """value as a Fraction; a float is refused, since its binary expansion
+    would silently stand in for the rational the caller meant."""
+    if isinstance(value, float):
+        raise InvalidParameter(f"{name} must be exact, not a float")
+    return Fraction(value)
+
+
 # -- fixed-point bounds for e^7 and ln ----------------------------------
 
 
@@ -149,20 +158,3 @@ def geq_sqrt(value: Fraction, radicand: Fraction) -> bool:
     if value < 0:
         return False
     return value * value >= radicand
-
-
-def gt_sqrt(value: Fraction, radicand: Fraction) -> bool:
-    """Decide value > sqrt(radicand) without radicals (radicand >= 0)."""
-    if radicand < 0:
-        raise InvalidParameter("negative radicand")
-    if value < 0:
-        return False
-    return value * value > radicand
-
-
-def ceil_frac(x: Fraction) -> int:
-    return -((-x.numerator) // x.denominator)
-
-
-def floor_frac(x: Fraction) -> int:
-    return x.numerator // x.denominator

@@ -26,7 +26,7 @@ from .canon import canonical_key
 from .dense import delta_threshold
 from .digraph import Digraph, random_digraph
 from .errors import InstanceTooLarge, InternalInconsistency, InvalidParameter
-from .exactmath import compare_to_ln_cubed, e7_bounds, geq_sqrt
+from .exactmath import compare_to_ln_cubed, e7_bounds, exact_fraction, geq_sqrt
 from .params import (
     DegreeProfile,
     biclique_number,
@@ -43,12 +43,6 @@ log = logging.getLogger(__name__)
 EXACT_CHI_CAP = 9
 
 
-def _exact_fraction(value, name: str) -> Fraction:
-    if isinstance(value, float):
-        raise InvalidParameter(f"{name} must be exact, not a float")
-    return Fraction(value)
-
-
 def log_cubed_threshold(a) -> int:
     """Least integer x >= 2 with a > ln(x)^3 / (x - 1).
 
@@ -56,7 +50,7 @@ def log_cubed_threshold(a) -> int:
     zero, so when the inequality fails at 2 it flips exactly once and
     bisection on the certified comparison finds the flip.
     """
-    a = _exact_fraction(a, "a")
+    a = exact_fraction(a, "a")
     if a <= 0:
         raise InvalidParameter("a must be positive")
 
@@ -134,7 +128,7 @@ def main_constants(delta1: Optional[int] = None, a=Fraction(1, 600)) -> MainCons
 
     a must stay below 1/576 or 1/6 - 4 sqrt(a) degenerates.
     """
-    a = _exact_fraction(a, "a")
+    a = exact_fraction(a, "a")
     if not 0 < a * 576 < 1:
         raise InvalidParameter("need 0 < a < 1/576")
     delta2 = log_cubed_threshold(a)
@@ -165,24 +159,6 @@ def main_constants(delta1: Optional[int] = None, a=Fraction(1, 600)) -> MainCons
         eps=eps,
         gamma_eps=eps / (1 - eps),
     )
-
-
-def claim_degree_spread(d: Digraph, gamma_eps) -> bool:
-    """Whether the maximum degree stays within a (1 + gamma) factor of the
-    geometric-mean degree maximum; a putative minimum counterexample must
-    satisfy this."""
-    gamma = _exact_fraction(gamma_eps, "gamma_eps")
-    if gamma < 0:
-        raise InvalidParameter("gamma_eps must be non-negative")
-    profile = degree_profile(d)
-    factor = 1 + gamma
-    return factor * factor * profile.delta_tilde_sq >= profile.delta_max**2
-
-
-def claim_biclique_small(d: Digraph) -> bool:
-    """Whether the digon clique number is at most two thirds of
-    (maximum degree + 1); again required of a minimum counterexample."""
-    return 3 * biclique_number(d) <= 2 * (degree_profile(d).delta_max + 1)
 
 
 @dataclass(frozen=True)
@@ -243,7 +219,7 @@ def verify_instance(
     cap: int = EXACT_CHI_CAP,
 ) -> VerificationRecord:
     """Evaluate every bound on one digraph with the exact solver."""
-    eps = _exact_fraction(eps, "eps")
+    eps = exact_fraction(eps, "eps")
     start = time.perf_counter()
     profile, omega_bi, omega_dir, chi = _exact_parameters(d, cap)
     record = VerificationRecord(
@@ -331,7 +307,7 @@ class DelminRecord:
 def verify_delmin(d: Digraph, eps, cap: int = EXACT_CHI_CAP) -> DelminRecord:
     """Evaluate the two min-degree bounds and audit the reduction on one
     digraph at exact-solver scale."""
-    eps = _exact_fraction(eps, "eps")
+    eps = exact_fraction(eps, "eps")
     start = time.perf_counter()
     profile, omega_bi, omega_dir, chi = _exact_parameters(d, cap)
     h = delmin_reduction(d)
@@ -472,7 +448,7 @@ def hunt(config: Mapping[str, object]) -> HuntReport:
     if count < 0:
         raise InvalidParameter("count must be non-negative")
     eps = settings["eps"]
-    eps = Fraction(1, 2) if eps is None else _exact_fraction(eps, "eps")
+    eps = Fraction(1, 2) if eps is None else exact_fraction(eps, "eps")
 
     jobs: list[tuple[Digraph, Fraction, str, Optional[int]]] = []  # verify_instance args
     if mode == "random":

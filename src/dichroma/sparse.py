@@ -16,7 +16,7 @@ keeping trials independent and the estimators unbiased.
 
 sparse_dicolour samples the input itself, not a diregularisation of it:
 regularity only makes the repeat target likely, and the target is checked
-on every accepted trial.  diregularize stays as an experimental object.
+on every accepted trial.
 """
 
 from __future__ import annotations
@@ -26,11 +26,8 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-import numpy as np
-
-from .digraph import MAX_VERTICES, Digraph
+from .digraph import Digraph
 from .errors import (
-    InstanceTooLarge,
     InternalInconsistency,
     InvalidParameter,
     InvalidVertex,
@@ -158,47 +155,6 @@ def sample_partial(
     return None
 
 
-def diregularize(d: Digraph, delta: int) -> Digraph:
-    """Embed d into a delta-diregular digraph on the same first vertices.
-
-    Each round glues on a disjoint reversed copy and links every deficient
-    vertex to its own copy, raising the minimum degree by one; internal
-    neighbourhood arc counts never change, so sparsity survives.
-    """
-    profile = degree_profile(d)
-    if profile.delta_max > delta:
-        raise PreconditionViolated("maximum degree exceeds delta")
-    if d.n:
-        # every round doubles the order and raises each vertex's smaller
-        # degree by one, so the worst deficit fixes the final size exactly
-        rounds = delta - min(
-            min(d.out_degree(v), d.in_degree(v)) for v in range(d.n)
-        )
-        if d.n << max(rounds, 0) > MAX_VERTICES:
-            raise InstanceTooLarge(
-                f"regularization needs {rounds} doubling rounds from "
-                f"{d.n} vertices; refusing to build past {MAX_VERTICES}"
-            )
-    current = d
-    for _ in range(delta + 1):
-        if all(
-            current.out_degree(v) == delta and current.in_degree(v) == delta
-            for v in range(current.n)
-        ):
-            break
-        n = current.n
-        arcs = list(current.arcs)
-        arcs += [(v + n, u + n) for u, v in current.arcs]
-        arcs += [(v, v + n) for v in range(n) if current.out_degree(v) < delta]
-        arcs += [(v + n, v) for v in range(n) if current.in_degree(v) < delta]
-        current = Digraph(2 * n, arcs)
-    else:
-        raise InternalInconsistency("diregularization did not terminate")
-    if d.n and min(density_report(current).bv) < min(density_report(d).bv):
-        raise InternalInconsistency("diregularization lost sparsity")
-    return current
-
-
 def sparse_dicolour(
     d: Digraph, b: int, max_tries: int = 64, seed=0
 ) -> Optional[Dicolouring]:
@@ -252,7 +208,15 @@ class MonteCarloEstimates:
 
 def monte_carlo(d: Digraph, v: int, trials: int, seed) -> MonteCarloEstimates:
     """Estimate E(X_v), E(Y_v), E(Z_v) and the deviation tail over
-    independent trials, vectorised over the trial axis."""
+    independent trials, vectorised over the trial axis.
+
+    Each vertex of the chosen side and each of their neighbours holds its
+    colours in all trials as one int, one 16-bit lane per trial, so a step
+    of the accounting is a few int operations for all trials at once.
+    Colours and counts stay below k < 2^14, so the top bit of every lane is
+    free: adding 2^15 - 1 sets it exactly in the nonzero lanes and never
+    carries into the next lane.
+    """
     if trials < 1:
         raise InvalidParameter("need at least one trial")
     if not 0 <= v < d.n:
@@ -265,53 +229,77 @@ def monte_carlo(d: Digraph, v: int, trials: int, seed) -> MonteCarloEstimates:
     side = sorted(
         d.out_adj[v] if report.m_plus[v] <= report.m_minus[v] else d.in_adj[v]
     )
-    rng = np.random.default_rng(seed)
-    colours = rng.integers(0, k, size=(trials, d.n), dtype=np.int16)
+    one = int.from_bytes(b"\1\0" * trials, "little")
+    high = one << 15
+    low = high - one
+
+    def same(a: int, b: int) -> int:
+        """The top bit of each lane where a and b agree."""
+        return high & ~((a ^ b) + low)
+
+    rng = random.Random(seed)
+    low32 = int.from_bytes(b"\xff\xff\xff\xff\0\0\0\0" * trials, "little")
+
+    def draw() -> int:
+        # colour floor(r k / 2^32) of 32 random bits r in a 64-bit lane, so
+        # each colour has probability within 2^-32 of 1/k; then repack the
+        # colour bytes of the 64-bit lanes into 16-bit lanes
+        wide = (int.from_bytes(rng.randbytes(8 * trials), "little") & low32) * k
+        raw = wide.to_bytes(8 * trials, "little")
+        packed = bytearray(2 * trials)
+        packed[0::2] = raw[4::8]
+        packed[1::2] = raw[5::8]
+        return int.from_bytes(packed, "little")
+
+    touched = set(side).union(*(d.in_adj[u] | d.out_adj[u] for u in side))
+    colours = {u: draw() for u in sorted(touched)}
+
+    side_cols = [colours[u] for u in side]
+    retained = []  # top bits: no in-neighbour or no out-neighbour agrees
+    for u, own in zip(side, side_cols):
+        differ_in = differ_out = -1
+        for w in d.in_adj[u]:
+            differ_in &= (own ^ colours[w]) + low
+        for w in d.out_adj[u]:
+            differ_out &= (own ^ colours[w]) + low
+        retained.append((differ_in | differ_out) & high)
 
     m = len(side)
-    retained = np.ones((trials, m), dtype=bool)
-    for j, u in enumerate(side):
-        own = colours[:, u]
-        hit_in = np.zeros(trials, dtype=bool)
-        for w in d.in_adj[u]:
-            hit_in |= colours[:, w] == own
-        hit_out = np.zeros(trials, dtype=bool)
-        for w in d.out_adj[u]:
-            hit_out |= colours[:, w] == own
-        retained[:, j] = ~(hit_in & hit_out)
-
-    free = np.array(
-        [[not d.has_digon(side[i], side[j]) for j in range(m)] for i in range(m)],
-        dtype=bool,
-    )
-    xs = np.zeros(trials, dtype=np.int32)
-    ys = np.zeros(trials, dtype=np.int32)
-    side_cols = colours[:, side] if m else colours[:, :0]
+    free = [
+        (i, j)
+        for i in range(m)
+        for j in range(i + 1, m)
+        if not d.has_digon(side[i], side[j])
+    ]
+    xs = ys = 0
     for c in range(k):
-        member = side_cols == c
-        y_event = np.zeros(trials, dtype=bool)
-        x_event = np.zeros(trials, dtype=bool)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if not free[i, j]:
-                    continue
-                both = member[:, i] & member[:, j]
-                y_event |= both
-                x_event |= both & retained[:, i] & retained[:, j]
-        ys += y_event
-        xs += x_event
-    zs = ys - xs
+        lane_c = c * one
+        member = [same(col, lane_c) for col in side_cols]
+        kept = [a & r for a, r in zip(member, retained)]
+        y_event = x_event = 0
+        for i, j in free:
+            y_event |= member[i] & member[j]
+            x_event |= kept[i] & kept[j]
+        ys += y_event >> 15
+        xs += x_event >> 15
 
-    def stats(a: np.ndarray) -> tuple[float, float]:
-        mean = float(a.mean())
-        se = float(a.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-        return mean, se
+    def histogram(lanes: int) -> list[int]:
+        """How many trials read 0, 1, ..., k in their lane."""
+        return [same(lanes, j * one).bit_count() for j in range(k + 1)]
 
-    mean_x, se_x = stats(xs)
-    mean_y, se_y = stats(ys)
-    mean_z, se_z = stats(zs)
+    def stats(counts: list[int]) -> tuple[float, float]:
+        total = sum(j * c for j, c in enumerate(counts))
+        if trials == 1:
+            return float(total), 0.0
+        spread = trials * sum(j * j * c for j, c in enumerate(counts)) - total * total
+        return total / trials, math.sqrt(spread / (trials - 1)) / trials
+
+    counts_x = histogram(xs)
+    mean_x, se_x = stats(counts_x)
+    mean_y, se_y = stats(histogram(ys))
+    mean_z, se_z = stats(histogram(ys - xs))  # Z_v = Y_v - X_v >= 0 per lane
     threshold = math.log(profile.delta_max) * math.sqrt(mean_x)
-    tail = float(np.mean(np.abs(xs - mean_x) > threshold))
+    tail = sum(c for j, c in enumerate(counts_x) if abs(j - mean_x) > threshold) / trials
     tail_se = math.sqrt(tail * (1.0 - tail) / trials)
     return MonteCarloEstimates(
         mean_x, mean_y, mean_z, se_x, se_y, se_z, tail, tail_se, threshold, trials

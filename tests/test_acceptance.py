@@ -47,7 +47,7 @@ from dichroma.solver import (
     is_valid,
     k_dicolourable,
 )
-from dichroma.sparse import diregularize, monte_carlo, sparse_dicolour, trial
+from dichroma.sparse import monte_carlo, sparse_dicolour, trial
 
 from .oracles import chromatic_number, clique_number
 
@@ -284,8 +284,7 @@ def _near_diregular(seed: int) -> Digraph:
 
 def test_06_sparse_pipeline_end_to_end() -> None:
     # Trials retain valid partial dicolourings with consistent accounting,
-    # the sparse colouring stays within its palette, and regularisation
-    # reaches exact diregularity without touching neighbourhood densities.
+    # and the sparse colouring stays within its palette.
     bad = 0
     for seed in range(100):
         d = _near_diregular(seed)
@@ -305,21 +304,6 @@ def test_06_sparse_pipeline_end_to_end() -> None:
             bad += 1
             continue
         if len(set(col.assignment.values())) > prof.delta_max + 1:
-            bad += 1
-            continue
-        reg = diregularize(d, prof.delta_max)
-        reg_prof = degree_profile(reg)
-        if any(
-            reg_prof.d_out[v] != prof.delta_max or reg_prof.d_in[v] != prof.delta_max
-            for v in range(reg.n)
-        ):
-            bad += 1
-            continue
-        reg_report = density_report(reg)
-        if (
-            reg_report.m_plus[: d.n] != report.m_plus
-            or reg_report.m_minus[: d.n] != report.m_minus
-        ):
             bad += 1
     _verdict(
         "sparse-pipeline",

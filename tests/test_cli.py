@@ -238,6 +238,24 @@ def test_python_m_matches_main(capsys, triangle, module) -> None:
     assert done.stdout == expected
 
 
+def test_import_loads_no_numpy() -> None:
+    # every command pays for what the package imports
+    src = str(Path(dichroma.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, dichroma, dichroma.cli; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
+
+
 _BAD_SIDE_FILES = {
     "list-malformed-json": ("dicolor", "{bad"),
     "list-truncated-json": ("dicolor", "[[0], [1"),

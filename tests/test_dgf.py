@@ -103,7 +103,8 @@ def test_emit_json_record() -> None:
 def test_emit_json_is_one_line_with_a_maskable_runtime() -> None:
     from fractions import Fraction
 
-    import numpy as np
+    class F(float):
+        pass
 
     rec = verify_instance(parse_dgf("n 3\n0 1\n1 2\n2 0\n"), Fraction(1, 3))
     text = emit_json(rec)
@@ -111,7 +112,7 @@ def test_emit_json_is_one_line_with_a_maskable_runtime() -> None:
     # benchmark and test comparisons mask the runtime with this pattern
     assert re.search(r'"runtime": [-+0-9.eE]+', text)
     # a float subclass stays a JSON number
-    assert json.loads(emit_json({"x": np.float64(0.25)})) == {"x": 0.25}
+    assert json.loads(emit_json({"x": F(0.25)})) == {"x": 0.25}
 
 
 def test_emit_json_digraph_and_sets() -> None:

@@ -108,8 +108,6 @@ def test_neighbourhoods() -> None:
     d = Digraph(4, [(0, 1), (1, 0), (0, 2), (3, 0)])
     assert d.out_adj[0] == frozenset({1, 2})
     assert d.in_adj[0] == frozenset({1, 3})
-    assert d.digon_neighbours(0) == frozenset({1})
-    assert d.neighbours(0) == frozenset({1, 2, 3})
 
 
 @settings(max_examples=150, deadline=None)

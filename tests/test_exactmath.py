@@ -10,14 +10,11 @@ from hypothesis import strategies as st
 
 from dichroma.errors import InvalidParameter
 from dichroma.exactmath import (
-    ceil_frac,
     ceil_sqrt,
     compare_to_ln_cubed,
     e7_bounds,
     floor_div_e7,
-    floor_frac,
     geq_sqrt,
-    gt_sqrt,
     ln_bounds,
 )
 
@@ -89,26 +86,12 @@ def test_ceil_sqrt(n: int) -> None:
     st.fractions(min_value=0, max_value=1000),
 )
 def test_sqrt_comparisons(value: Fraction, radicand: Fraction) -> None:
-    geq = geq_sqrt(value, radicand)
-    gt = gt_sqrt(value, radicand)
-    assert geq == (value * value >= radicand)
-    assert gt == (value * value > radicand)
-    assert not (gt and not geq)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.fractions(min_value=-1000, max_value=1000))
-def test_ceil_floor_frac(x: Fraction) -> None:
-    c, f = ceil_frac(x), floor_frac(x)
-    assert f <= x <= c
-    assert c - f == (0 if x.denominator == 1 else 1)
+    assert geq_sqrt(value, radicand) == (value * value >= radicand)
 
 
 def test_sqrt_helpers_reject_negative_radicand() -> None:
     with pytest.raises(InvalidParameter):
         geq_sqrt(Fraction(1), Fraction(-1))
-    with pytest.raises(InvalidParameter):
-        gt_sqrt(Fraction(1), Fraction(-1))
 
 
 def test_ceil_sqrt_perfect_squares() -> None:

@@ -23,8 +23,6 @@ from dichroma.errors import InstanceTooLarge, InternalInconsistency, InvalidPara
 from dichroma.exactmath import compare_to_ln_cubed
 from dichroma.harness import (
     EXACT_CHI_CAP,
-    claim_biclique_small,
-    claim_degree_spread,
     delmin_reduction,
     hunt,
     log_cubed_threshold,
@@ -96,20 +94,6 @@ def test_main_constants_configuration() -> None:
         main_constants(a=1 / 600)
     with pytest.raises(InvalidParameter):
         main_constants(delta1=0)
-
-
-def test_claim_predicates() -> None:
-    c4 = symmetric_closure(Graph(4, [(i, (i + 1) % 4) for i in range(4)]))
-    # diregular: geometric mean equals the maximum, any gamma works
-    assert claim_degree_spread(c4, Fraction(0))
-    # unbalanced hub: out-degree 3 against in-degree 1, geometric mean sqrt(3)
-    skew = Digraph(4, [(0, 1), (0, 2), (0, 3), (1, 0)])
-    assert not claim_degree_spread(skew, Fraction(1, 10))
-    assert claim_degree_spread(skew, Fraction(1))
-    with pytest.raises(InvalidParameter):
-        claim_degree_spread(skew, 0.5)
-    assert claim_biclique_small(c4)  # 3 * 2 <= 2 * 3
-    assert not claim_biclique_small(complete_digraph(4))  # 12 > 8
 
 
 def test_verify_instance_equalities() -> None:

@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 from dichroma.digraph import (
     Digraph,
     Graph,
-    directed_cycle,
     random_digraph,
     symmetric_closure,
 )
 from dichroma.errors import (
-    InstanceTooLarge,
     InvalidParameter,
     InvalidVertex,
     PreconditionViolated,
@@ -23,7 +21,6 @@ from dichroma.errors import (
 from dichroma.params import degree_profile, density_report, is_b_sparse
 from dichroma.solver import check_partial_kl, is_valid
 from dichroma.sparse import (
-    diregularize,
     monte_carlo,
     sample_partial,
     sparse_dicolour,
@@ -74,53 +71,6 @@ def test_sample_partial() -> None:
     assert sample_partial(d, ell=degree_profile(d).delta_max, max_tries=2, seed=1) is None
     with pytest.raises(InvalidParameter):
         sample_partial(d, ell=-1, max_tries=1, seed=1)
-
-
-def test_diregularize_single_arc() -> None:
-    got = diregularize(Digraph(2, [(0, 1)]), 1)
-    assert got.n == 4
-    assert set(got.arcs) == {(0, 1), (3, 2), (1, 3), (2, 0)}
-
-
-def test_diregularize_fixed_points() -> None:
-    digon = Digraph(2, [(0, 1), (1, 0)])
-    assert diregularize(digon, 1) is digon or set(diregularize(digon, 1).arcs) == {
-        (0, 1),
-        (1, 0),
-    }
-    c5 = directed_cycle(5)
-    assert diregularize(c5, 1).n == 5
-
-
-def test_diregularize_properties() -> None:
-    for seed in range(25):
-        rng = random.Random(seed)
-        n = rng.randrange(1, 9)
-        arcs = [
-            (u, v)
-            for u in range(n)
-            for v in range(n)
-            if u != v and rng.random() < 0.3
-        ]
-        d = Digraph(n, arcs)
-        delta = degree_profile(d).delta_max
-        big = diregularize(d, delta)
-        for v in range(big.n):
-            assert big.out_degree(v) == delta
-            assert big.in_degree(v) == delta
-        assert all(big.out_adj[v] >= d.out_adj[v] for v in range(d.n))
-        before = density_report(d)
-        after = density_report(big)
-        # gluing never adds arcs inside an original neighbourhood
-        assert after.m_plus[: d.n] == before.m_plus
-        assert after.m_minus[: d.n] == before.m_minus
-
-
-def test_diregularize_guard() -> None:
-    with pytest.raises(InstanceTooLarge):
-        diregularize(Digraph(2, [(0, 1)]), 20)
-    with pytest.raises(PreconditionViolated):
-        diregularize(circulant(5, (1, 2)), 1)
 
 
 def test_sparse_dicolour_end_to_end() -> None:
