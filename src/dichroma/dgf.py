@@ -4,7 +4,8 @@ The file format is one header line ``n <count>`` followed by one arc per
 line as ``u v`` with 0-based vertex numbers.  ``#`` starts a comment that
 runs to the end of the line, blank lines are ignored, and the encoding is
 7-bit text, so files diff cleanly and round-trip bit-exactly: emitting a
-parsed digraph sorts the arcs lexicographically and is idempotent.
+parsed digraph sorts the arcs lexicographically and is idempotent.  A parse
+error names its line and column; columns are worked out only for that line.
 """
 
 from __future__ import annotations
@@ -36,6 +37,23 @@ def _integer(token: str, lineno: int, column: int) -> int:
     return int(token)
 
 
+def _arc(line: str, lineno: int, n: int) -> tuple[int, int]:
+    """The arc on a line the quick check refused ("-0 1" is one), or its offence."""
+    parts = list(_tokens(line))
+    if len(parts) != 2:
+        where = parts[2][1] if len(parts) > 2 else parts[0][1]
+        raise ParseError("expected an arc 'u v'", lineno, where)
+    ends = []
+    for token, column in parts:
+        v = _integer(token, lineno, column)
+        if not 0 <= v < n:
+            raise ParseError(f"vertex {v} out of range", lineno, column)
+        ends.append(v)
+    if ends[0] == ends[1]:
+        raise ParseError("self-loop", lineno, parts[1][1])
+    return ends[0], ends[1]
+
+
 def parse_dgf(text: str) -> Digraph:
     """Read a digraph, reporting the first offence with line and column.
 
@@ -52,14 +70,13 @@ def parse_dgf(text: str) -> Digraph:
             raise ParseError("non-ASCII byte", lineno, column)
         cut = raw.find("#")
         line = raw if cut < 0 else raw[:cut]
-        parts = list(_tokens(line))
+        parts = line.split()
         if not parts:
             continue
         if n is None:
+            parts = list(_tokens(line))
             if parts[0][0] != "n":
-                raise ParseError(
-                    "expected header 'n <count>'", lineno, parts[0][1]
-                )
+                raise ParseError("expected header 'n <count>'", lineno, parts[0][1])
             if len(parts) != 2:
                 where = parts[2][1] if len(parts) > 2 else parts[0][1]
                 raise ParseError("header takes exactly one count", lineno, where)
@@ -67,20 +84,14 @@ def parse_dgf(text: str) -> Digraph:
             if n < 0:
                 raise ParseError("vertex count must be non-negative", lineno, parts[1][1])
             continue
-        if len(parts) != 2:
-            where = parts[2][1] if len(parts) > 2 else parts[0][1]
-            raise ParseError("expected an arc 'u v'", lineno, where)
-        ends = []
-        for token, column in parts:
-            v = _integer(token, lineno, column)
-            if not 0 <= v < n:
-                raise ParseError(f"vertex {v} out of range", lineno, column)
-            ends.append((v, column))
-        if ends[0][0] == ends[1][0]:
-            raise ParseError("self-loop", lineno, ends[1][1])
+        u = v = n  # out of range until the quick check reads the line
+        if len(parts) == 2 and parts[0].isdigit() and parts[1].isdigit():
+            u, v = int(parts[0]), int(parts[1])
+        if u >= n or v >= n or u == v:
+            u, v = _arc(line, lineno, n)
         if len(arcs) == cap:
             raise InstanceTooLarge(f"more than {cap} arcs, at line {lineno}")
-        arcs.append((ends[0][0], ends[1][0]))
+        arcs.append((u, v))
     if n is None:
         raise ParseError("missing header 'n <count>'", lineno + 1, 1)
     return Digraph(n, arcs)

@@ -11,7 +11,9 @@ bounded by the recursion limit.  It reads Digraph.masks, built with the
 digraph.  It branches on the vertex with the fewest colours left (DSATUR
 order, Brelaz 1979), highest total degree first on a tie, and each
 placement strikes the colours it rules out for the vertices still to come
-(forward checking).  Empty colours that the same vertices allow are
+(forward checking): once v joins a class, w loses it exactly when w has an
+arc into a member that reaches v and an arc from a member v reaches, both
+walks inside the class.  Empty colours that the same vertices allow are
 interchangeable and tried once, so a k-dicolouring opens at most one new
 class per vertex.  Each returned witness is checked with is_valid, a Kahn
 pass over the masks of each colour class.
@@ -122,11 +124,12 @@ def _search(
     class without closing a cycle.  The step taken next is the untried one
     with the fewest live options, the earlier on a tie; its options are
     tried class by class in the order of classes, vertices in increasing
-    order.  A placement into a class rechecks only the live options into it
-    and backtracks at once when an untried step has none left.  Two empty
-    classes offered by exactly the same steps are interchangeable, so only
-    the first is tried: every solution is yielded once up to such swaps.  A
-    yield maps each chosen vertex to its class key.
+    order.  Placing v kills each live option (w, class) with w -> a ~> v ~>
+    b -> w inside the class, and backtracks at once when an untried step has
+    none left.  Two empty classes offered by exactly the same steps are
+    interchangeable, so only the first is tried: every solution is yielded
+    once up to such swaps.  A yield maps each chosen vertex to its class
+    key.
     """
     names = list(classes) if isinstance(classes, dict) else range(len(classes))
     masks = [classes[name] for name in names]
@@ -196,27 +199,13 @@ def _search(
                     continue
                 cls |= 1 << v
                 masks[i] = cls
-                # w can no longer join if w -> a ~> v ~> b -> w inside the class
                 shift = i * span
                 doomed = live >> shift & full  # untried options into class i
                 if doomed:
-                    into = inn[v] & cls
-                    back = out[v] & cls
-                    if into and back:
-                        doomed &= _spread(inn, cls, v)
-                        if doomed:
-                            doomed &= _spread(out, cls, v)
-                    elif into or back:
-                        # only v's few neighbours on its bare side can be caught
-                        rest = doomed & (out[v] if into else inn[v])
-                        doomed = 0
-                        while rest:
-                            low = rest & -rest
-                            rest ^= low
-                            if _closes_cycle(out, inn, cls, low.bit_length() - 1):
-                                doomed |= low
-                    else:
-                        doomed &= inn[v] & out[v]
+                    # with no class neighbour on a side, that side's spread is v's own
+                    doomed &= _spread(inn, cls, v) if inn[v] & cls else inn[v]
+                    if doomed:
+                        doomed &= _spread(out, cls, v) if out[v] & cls else out[v]
                 knocked = doomed << shift
                 live ^= knocked
                 while doomed:

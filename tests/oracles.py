@@ -8,6 +8,7 @@ Oracles are exponential and meant for single-digit vertex counts.
 
 from __future__ import annotations
 
+import re
 from itertools import combinations, product
 from typing import Optional
 
@@ -223,3 +224,34 @@ def cycle_blowup_arcs(n_cycle: int, p: int) -> set[tuple[int, int]]:
         for v in range(n_cycle * p)
         if u != v and (part[u] - part[v]) % n_cycle in (0, 1, n_cycle - 1)
     }
+
+
+_DGF_INTEGER = re.compile(r"-?[0-9]+")
+
+
+def dgf_outcome(text: str):
+    """What an ASCII DGF document with a valid header means, read with regular
+    expressions: ("arcs", set of arcs) or ("error", phrase in the message,
+    line, column)."""
+    n = None
+    arcs = set()
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        body = re.match(r"[^#]*", raw).group()
+        tokens = [(m.group(), m.start() + 1) for m in re.finditer(r"\S+", body)]
+        if not tokens:
+            continue
+        if n is None:
+            n = int(tokens[1][0])
+            continue
+        if len(tokens) != 2:
+            return "error", "expected an arc", lineno, tokens[min(2, len(tokens) - 1)][1]
+        for token, column in tokens:
+            if not _DGF_INTEGER.fullmatch(token):
+                return "error", "expected an integer", lineno, column
+            if int(token) not in range(n):
+                return "error", "out of range", lineno, column
+        (u, _), (v, column) = tokens
+        if int(u) == int(v):
+            return "error", "self-loop", lineno, column
+        arcs.add((int(u), int(v)))
+    return "arcs", arcs

@@ -1,13 +1,18 @@
 """Command line interface, driven in-process through main()."""
 
+import contextlib
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dichroma
 
@@ -295,6 +300,35 @@ def test_non_ascii_dgf_exit_2(capsys, tmp_path, command) -> None:
     assert code == 2 and out is None
     assert err["error"] == "ParseError"
     assert "line 2, column 5" in err["message"] and "non-ASCII" in err["message"]
+
+
+def _dgf_text(n: int):
+    vertex = st.integers(0, max(n - 1, 0))
+    arcs = st.lists(st.tuples(vertex, vertex), max_size=30).map(
+        lambda arcs: "".join(f"{u} {v}\n" for u, v in arcs if u != v)
+    )
+    body = st.text() | st.text("0123456789 \t\n#-", max_size=60) | arcs
+    return body.map(f"n {n}\n".__add__)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12).flatmap(_dgf_text))
+def test_any_dgf_text_ends_in_one_json_line(text: str) -> None:
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "fuzz.dgf")
+        with open(path, "wb") as handle:
+            handle.write(text.encode("utf-8", "surrogatepass"))
+        for command in ("dicolor", "params"):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, path])
+            if code == 0:
+                assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+                assert isinstance(json.loads(out.getvalue()), dict)
+            else:
+                assert code == 2 and out.getvalue() == ""
+                assert err.getvalue().count("\n") == 1
+                assert json.loads(err.getvalue())["error"] != "InternalError"
 
 
 @pytest.mark.parametrize("command", ["params", "dicolor"])

@@ -13,6 +13,8 @@ from dichroma.digraph import Digraph, random_digraph
 from dichroma.errors import ParseError
 from dichroma.harness import verify_instance
 
+from .oracles import dgf_outcome
+
 
 def test_parse_basic() -> None:
     d = parse_dgf("n 3\n0 1\n1 2\n2 0\n")
@@ -67,6 +69,55 @@ def test_parse_errors_located() -> None:
     assert "self-loop" in str(err) and (err.line, err.column) == (2, 3)
     err = _offence("n 3\n0 café\n")
     assert "non-ASCII" in str(err) and (err.line, err.column) == (2, 6)
+
+
+@pytest.mark.parametrize(
+    "line, arc",
+    [("-0 1", (0, 1)), ("002 1", (2, 1)), ("0\t1\t# c", (0, 1)), ("0 1#c", (0, 1))],
+)
+def test_parse_arc_spellings(line: str, arc: tuple[int, int]) -> None:
+    assert set(parse_dgf(f"n 3\n{line}\n").arcs) == {arc}
+
+
+@pytest.mark.parametrize(
+    "line, phrase, column",
+    [
+        ("+1 0", "expected an integer", 1),
+        ("1_0 2", "expected an integer", 1),
+        ("0x1 0", "expected an integer", 1),
+        ("-1 0", "out of range", 1),
+        ("5 x", "out of range", 1),
+        ("0 1 2", "expected an arc", 5),
+        ("2 2", "self-loop", 3),
+        ("-0 -0", "self-loop", 4),
+    ],
+)
+def test_parse_arc_offences(line: str, phrase: str, column: int) -> None:
+    err = _offence(f"n 3\n0 1\n{line}\n1 2\n")
+    assert phrase in str(err) and (err.line, err.column) == (3, column)
+
+
+_DGF_CHARS = "0123456789-+_ \t#nx"
+_DGF_TOKEN = st.integers(0, 13).map(str) | st.text(_DGF_CHARS, min_size=1, max_size=3)
+# raw lines, and lines of tokens that are mostly arc-shaped, so documents parse too
+_DGF_LINES = (
+    st.text(_DGF_CHARS, max_size=12)
+    | st.lists(_DGF_TOKEN, min_size=2, max_size=2).map(" ".join)
+    | st.lists(_DGF_TOKEN, max_size=3).map("\t".join)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), st.lists(_DGF_LINES, max_size=8))
+def test_parse_matches_regex_oracle(n: int, lines: list[str]) -> None:
+    text = "\n".join([f"n {n}", *lines])
+    expected = dgf_outcome(text)
+    try:
+        got = ("arcs", set(parse_dgf(text).arcs))
+    except ParseError as err:
+        assert expected[0] == "error" and expected[1] in str(err), (str(err), expected)
+        got = ("error", expected[1], err.line, err.column)
+    assert got == expected
 
 
 def test_emit_canonical() -> None:

@@ -220,6 +220,28 @@ def test_search_yields_each_acyclic_transversal_once(n: int, seed: int) -> None:
     assert sorted(sorted(y) for y in got) == sorted(want)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**30))
+def test_spreads_meet_in_the_options_a_placement_kills(n: int, seed: int) -> None:
+    # X + v is an acyclic class; w, which X alone admits, is shut out once v
+    # joins exactly when w sits on a cycle through v inside X + v + w
+    rng = random.Random(seed)
+    pd = rng.random() * 0.5
+    d = random_digraph(n, pd, rng.random() * (0.9 - pd), seed=seed)
+    v, *rest = rng.sample(range(n), n)
+    x: list[int] = []
+    for u in rest:
+        if rng.random() < 0.7 and acyclic(n, d.arcs, [v, u, *x]):
+            x.append(u)
+    cls = sum(1 << u for u in [v, *x])
+    out, inn = d.masks
+    meet = solver._spread(inn, cls, v) & solver._spread(out, cls, v)
+    admitted = [w for w in range(n) if not cls >> w & 1 and acyclic(n, d.arcs, [w, *x])]
+    assert [w for w in admitted if meet >> w & 1] == [
+        w for w in admitted if not acyclic(n, d.arcs, [v, w, *x])
+    ]
+
+
 def test_witness_self_check(monkeypatch) -> None:
     c3 = directed_cycle(3)
     monochrome = [{0: 0, 1: 0, 2: 0}]
