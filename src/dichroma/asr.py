@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
-from .digraph import Digraph, obstruction
+from .digraph import Digraph, _arc_list, _bits, obstruction
 from .errors import (
     InstanceTooLarge,
     InternalInconsistency,
@@ -307,14 +307,15 @@ def acyclic_hitting_set(
                 raise InvalidParameter("every part must be a biclique")
     if seen != set(range(d.n)):
         raise InvalidParameter("parts must cover every vertex")
+    out, inn = d.masks
+    between = []  # the arcs that leave their part
     for part in parts:
+        outside = ~sum(1 << v for v in part)
         for v in part:
-            if len(d.out_adj[v] - part) > k or len(d.in_adj[v] - part) > len(part) - k:
-                raise PreconditionViolated(
-                    f"vertex {v}: outside-degree bounds fail"
-                )
-    part_of = {v: i for i, part in enumerate(parts) for v in part}
-    reduced = Digraph(d.n, ((u, v) for u, v in d.arcs if part_of[u] != part_of[v]))
+            if (out[v] & outside).bit_count() > k or (inn[v] & outside).bit_count() > len(part) - k:
+                raise PreconditionViolated(f"vertex {v}: outside-degree bounds fail")
+            between += ((v, w) for w in _bits(out[v] & outside))
+    reduced = Digraph(d.n, between)
     result = find_asr(ASRInstance(reduced, parts, k))
     if not d.is_acyclic(result):
         raise InternalInconsistency("hitting set is cyclic in the original")
@@ -518,8 +519,8 @@ def _product_isomorphism(d: Digraph, q_parts) -> Optional[dict[int, int]]:
     iso = {v: i * p + j for i, q in enumerate(order) for j, v in enumerate(sorted(q))}
     if n < 3 or any(len(q) != p for q in q_parts) or sorted(iso) != list(range(d.n)):
         return None
-    arcs = {(iso[u], iso[w]) for u, w in d.arcs}
-    return iso if arcs == obstruction(n, p).arcs else None
+    image = Digraph(d.n, ((iso[u], iso[w]) for u, w in _arc_list(d.masks[0])))
+    return iso if image == obstruction(n, p) else None
 
 
 def _handle_cycle_chain(d, q_parts) -> TransversalOutcome:

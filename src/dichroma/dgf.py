@@ -100,7 +100,7 @@ def parse_dgf(text: str) -> Digraph:
 def emit_dgf(d: Digraph) -> str:
     """Canonical text form: header, then arcs sorted lexicographically."""
     lines = [f"n {d.n}"]
-    lines.extend(f"{u} {v}" for u, v in sorted(d.arcs))
+    lines.extend(f"{u} {v}" for u, v in digraph._arc_list(d.masks[0]))
     return "\n".join(lines) + "\n"
 
 
@@ -116,7 +116,7 @@ def _plain(obj):
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, Digraph):
-        return {"n": obj.n, "arcs": [list(a) for a in sorted(obj.arcs)]}
+        return {"n": obj.n, "arcs": [list(a) for a in digraph._arc_list(obj.masks[0])]}
     if isinstance(obj, Graph):
         return {
             "n": obj.n,

@@ -6,10 +6,10 @@ directed cycle of length two throughout the package.  The symmetric part S(D)
 is the graph of digons, the underlying graph UG(D) the graph of all adjacent
 pairs.
 
-Instances are immutable after construction: the constructor stores the arcs
-and their int-bitmask adjacency ``Digraph.masks``, and the frozenset
-adjacency is derived on first read, so they can be shared freely across
-worker processes.
+Instances are immutable after construction: the constructor stores only the
+int-bitmask adjacency ``Digraph.masks``; the arc set is read off it on each
+access and the frozenset adjacency is derived from it on first read, so
+instances are small and can be shared freely across worker processes.
 """
 
 from __future__ import annotations
@@ -78,17 +78,17 @@ class Graph:
 
 
 class Digraph:
-    """Loopless digraph with frozen adjacency.
+    """Loopless digraph stored as int bitmasks.
 
     ``masks`` is the (out, in) pair of int bitmasks, built in the loop that
     checks the arcs: bit w of out[v] is set iff v -> w, of in[v] iff w -> v;
-    n*n/4 bytes at worst, 256 MiB at MAX_VERTICES.  ``out_adj[v]`` /
-    ``in_adj[v]`` are the same neighbourhoods as frozensets, derived from
-    the arcs on first read.  Equality and hashing use only ``n`` and the
-    arcs.
+    n*n/4 bytes at worst, 256 MiB at MAX_VERTICES.  It is the only stored
+    form: ``arcs`` is read off it on each access, and ``out_adj[v]`` /
+    ``in_adj[v]`` are the same neighbourhoods as frozensets, derived on
+    first read.  Equality and hashing use the out-masks, which fix ``n``.
     """
 
-    __slots__ = ("n", "masks", "_arcs", "_adj")
+    __slots__ = ("n", "masks", "_adj")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -96,7 +96,6 @@ class Digraph:
         if n > MAX_VERTICES:
             raise InstanceTooLarge(f"{n} vertices is past the cap of {MAX_VERTICES}")
         out, inn = [0] * n, [0] * n
-        pairs = set()
         arcs = iter(arcs)
         for u, v in islice(arcs, MAX_ARCS):
             if not (0 <= u < n and 0 <= v < n):
@@ -105,40 +104,36 @@ class Digraph:
                 raise SelfLoop(f"loop at vertex {u}")
             out[u] |= 1 << v
             inn[v] |= 1 << u
-            pairs.add((u, v))
         if next(arcs, None) is not None:
             raise InstanceTooLarge(f"more than {MAX_ARCS} arcs")
         self.n = n
         self.masks = (tuple(out), tuple(inn))
-        self._arcs = frozenset(pairs)
         self._adj = None
 
     # -- basic queries -------------------------------------------------
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
-        return self._arcs
+        """The arc set, read off the out-masks on every access: a caller
+        that reads it in a loop should read it once before the loop."""
+        return frozenset(_arc_list(self.masks[0]))
 
     def _frozen_adj(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        if self._adj is None:  # one pass over the arcs beats reading the masks
-            out, inn = [[] for _ in range(self.n)], [[] for _ in range(self.n)]
-            for u, v in self._arcs:
-                out[u].append(v)
-                inn[v].append(u)
-            self._adj = tuple(tuple(map(frozenset, side)) for side in (out, inn))
+        if self._adj is None:
+            self._adj = tuple(tuple(frozenset(_bits(m)) for m in side) for side in self.masks)
         return self._adj
 
     out_adj = property(lambda self: self._frozen_adj()[0], doc="Out-neighbourhood frozensets.")
     in_adj = property(lambda self: self._frozen_adj()[1], doc="In-neighbourhood frozensets.")
 
     def arc_count(self) -> int:
-        return len(self._arcs)
+        return sum(m.bit_count() for m in self.masks[0])
 
     def has_arc(self, u: int, v: int) -> bool:
-        return (u, v) in self._arcs
+        return 0 <= u < self.n and 0 <= v and self.masks[0][u] >> v & 1 == 1
 
     def has_digon(self, u: int, v: int) -> bool:
-        return (u, v) in self._arcs and (v, u) in self._arcs
+        return 0 <= u < self.n and 0 <= v and (self.masks[0][u] & self.masks[1][u]) >> v & 1 == 1
 
     def out_degree(self, v: int) -> int:
         return self.masks[0][v].bit_count()
@@ -147,24 +142,24 @@ class Digraph:
         return self.masks[1][v].bit_count()
 
     def __eq__(self, other):
-        return isinstance(other, Digraph) and self.n == other.n and self._arcs == other._arcs
+        return isinstance(other, Digraph) and self.masks[0] == other.masks[0]
 
     def __hash__(self):
-        return hash((self.n, self._arcs))
+        return hash(self.masks[0])
 
     def __repr__(self):
-        return f"Digraph(n={self.n}, m={len(self._arcs)})"
+        return f"Digraph(n={self.n}, m={self.arc_count()})"
 
     # -- derivations ---------------------------------------------------
 
     def reverse(self) -> "Digraph":
-        return Digraph(self.n, ((v, u) for u, v in self._arcs))
+        return Digraph(self.n, _arc_list(self.masks[1]))
 
     def symmetric_part(self) -> Graph:
-        return Graph(self.n, ((u, v) for u, v in self._arcs if u < v and self.has_arc(v, u)))
+        return Graph(self.n, ((u, v) for u, v in _arc_list(map(int.__and__, *self.masks)) if u < v))
 
     def underlying_graph(self) -> Graph:
-        return Graph(self.n, ((u, v) for u, v in self._arcs if u < v or not self.has_arc(v, u)))
+        return Graph(self.n, ((u, v) for u, v in _arc_list(map(int.__or__, *self.masks)) if u < v))
 
     def induced(self, vertices: Iterable[int]) -> tuple["Digraph", dict[int, int]]:
         """Induced subdigraph plus the old -> new vertex relabelling map."""
@@ -173,12 +168,8 @@ class Digraph:
             if not (0 <= v < self.n):
                 raise InvalidVertex(f"vertex out of range: {v}")
         relabel = {v: i for i, v in enumerate(keep)}
-        arcs = [
-            (relabel[u], relabel[v])
-            for u in keep
-            for v in self.out_adj[u]
-            if v in relabel
-        ]
+        inside = sum(1 << v for v in keep)
+        arcs = [(relabel[u], relabel[v]) for u in keep for v in _bits(self.masks[0][u] & inside)]
         return Digraph(len(keep), arcs), relabel
 
     def remove_vertices(self, vertices: Iterable[int]) -> tuple["Digraph", dict[int, int]]:
@@ -186,7 +177,7 @@ class Digraph:
         return self.induced(v for v in range(self.n) if v not in drop)
 
     def add_arcs(self, extra: Iterable[tuple[int, int]]) -> "Digraph":
-        return Digraph(self.n, list(self._arcs) + list(extra))
+        return Digraph(self.n, _arc_list(self.masks[0]) + list(extra))
 
     def is_acyclic(self, vertices: Optional[Iterable[int]] = None) -> bool:
         """Kahn's algorithm on the induced subdigraph (digons are 2-cycles),
@@ -209,16 +200,15 @@ class Digraph:
 
     def is_connected(self) -> bool:
         """Weak connectivity (of the underlying graph); empty digraph counts as connected."""
-        if self.n == 0:
-            return True
-        stack, seen = [0], {0}
-        while stack:
-            u = stack.pop()
-            for w in self.out_adj[u] | self.in_adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == self.n
+        out, inn = self.masks
+        seen = frontier = 1 if self.n else 0
+        while frontier:
+            reach = 0
+            for u in _bits(frontier):
+                reach |= out[u] | inn[u]
+            frontier = reach & ~seen
+            seen |= frontier
+        return seen == (1 << self.n) - 1
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -227,6 +217,21 @@ def _bits(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _arc_list(out: Iterable[int]) -> list[tuple[int, int]]:
+    """The arcs u -> v of the out-masks in lexicographic order: u ascending,
+    then the set bits of out[u] ascending."""
+    arcs = []
+    for u, mask in enumerate(out):
+        if mask and mask == 1 << mask.bit_length() - 1:  # a lone bit: one compare, no walk
+            arcs.append((u, mask.bit_length() - 1))
+            continue
+        while mask:
+            low = mask & -mask
+            arcs.append((u, low.bit_length() - 1))
+            mask ^= low
+    return arcs
 
 
 # -- constructors -------------------------------------------------------

@@ -24,7 +24,7 @@ from typing import Iterator, Mapping, Optional
 
 from .canon import canonical_key
 from .dense import delta_threshold
-from .digraph import Digraph, random_digraph
+from .digraph import Digraph, _bits, random_digraph
 from .errors import InstanceTooLarge, InternalInconsistency, InvalidParameter
 from .exactmath import compare_to_ln_cubed, e7_bounds, exact_fraction, geq_sqrt
 from .params import (
@@ -259,18 +259,13 @@ def delmin_reduction(d: Digraph) -> Digraph:
     profile = degree_profile(d)
     dmin = profile.delta_min
     x = frozenset(v for v in range(d.n) if d.out_degree(v) <= dmin)
-    arcs: set[tuple[int, int]] = set()
-    for u, v in d.arcs:
-        if u not in x and v in x:
-            continue
-        if u in x and v not in x:
-            arcs.add((u, v))
-            arcs.add((v, u))
-        elif u in x:
-            arcs.add((u, v))
-        else:
-            arcs.add((v, u))
-    h = Digraph(d.n, sorted(arcs))
+    rest = ~sum(1 << v for v in x)
+    arcs: list[tuple[int, int]] = []
+    for u, heads in enumerate(d.masks[0]):
+        arcs += [(v, u) for v in _bits(heads & rest)]  # digon from X, reversal outside it
+        if u in x:
+            arcs += [(u, v) for v in _bits(heads)]
+    h = Digraph(d.n, arcs)
     if degree_profile(h).delta_plus > dmin:
         raise InternalInconsistency("reduction exceeded the out-degree target")
     return h
@@ -371,9 +366,9 @@ def _grown_levels(n_max: int, states: tuple[int, ...]) -> Iterator[list[Digraph]
         seen: set[tuple] = set()
         grown: list[Digraph] = []
         for d in level:
+            parent = list(d.arcs)
             for choice in product(states, repeat=k):
-                arcs = list(d.arcs)
-                arcs += [(u, k) for u, s in enumerate(choice) if s & 1]
+                arcs = parent + [(u, k) for u, s in enumerate(choice) if s & 1]
                 arcs += [(k, u) for u, s in enumerate(choice) if s & 2]
                 child = Digraph(k + 1, arcs)
                 key = canonical_key(child)

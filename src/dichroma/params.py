@@ -86,8 +86,8 @@ def degree_profile(d: Digraph) -> DegreeProfile:
         delta_plus=max(d_out, default=0),
         delta_tilde_sq=max(geo_sq, default=0),
     )
-    if sum(d_out) != d.arc_count() or sum(d_in) != d.arc_count():
-        raise InternalInconsistency("degree sums disagree with the arc count")
+    if sum(d_out) != sum(d_in):
+        raise InternalInconsistency("in- and out-degree sums disagree")
     if not (
         profile.delta_min**2 <= profile.delta_tilde_sq <= profile.delta_max**2
     ):

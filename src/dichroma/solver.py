@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator, Mapping, Optional, Sequence
 
-from .digraph import Digraph
+from .digraph import Digraph, _bits
 from .errors import (
     CompletionStuck,
     InternalInconsistency,
@@ -335,18 +335,14 @@ def list_dicolourable(d: Digraph, lists: ListAssignment) -> Optional[Dicolouring
     return None if found is None else _checked(d, Dicolouring(k, found))
 
 
-def _bad_supports(d: Digraph, core: frozenset[int], k: int) -> Iterator[frozenset[int]]:
-    """Subsets of the core whose induced min in/out degrees all reach k."""
-    members = sorted(core)
-    for mask in range(1, 1 << len(members)):
-        sub = frozenset(members[i] for i in range(len(members)) if mask >> i & 1)
-        ok = True
-        for v in sub:
-            if min(len(d.out_adj[v] & sub), len(d.in_adj[v] & sub)) < k:
-                ok = False
-                break
-        if ok:
-            yield sub
+def _bad_supports(d: Digraph, core: int, k: int) -> Iterator[frozenset[int]]:
+    """Subsets of the core mask whose induced min in/out degrees all reach k."""
+    out, inn = d.masks
+    members = list(_bits(core))
+    for pick in range(1, 1 << len(members)):
+        s = sum(1 << members[i] for i in range(len(members)) if pick >> i & 1)
+        if all(min((out[v] & s).bit_count(), (inn[v] & s).bit_count()) >= k for v in _bits(s)):
+            yield frozenset(_bits(s))
 
 
 def _candidate_assignments(
@@ -435,19 +431,18 @@ def is_k_dichoosable(d: Digraph, k: int, universe: Optional[int] = None) -> bool
     if universe < k:
         raise InvalidParameter("universe must hold at least one list")
 
-    core = set(range(d.n))
-    changed = True
+    out, inn = d.masks
+    core, changed = (1 << d.n) - 1, True
     while changed:
         changed = False
-        for v in list(core):
-            s = core - {v}
-            if min(len(d.out_adj[v] & s), len(d.in_adj[v] & s)) < k:
-                core.remove(v)
+        for v in _bits(core):
+            if min((out[v] & core).bit_count(), (inn[v] & core).bit_count()) < k:
+                core ^= 1 << v
                 changed = True
     if not core:
         return True
 
-    for support in _bad_supports(d, frozenset(core), k):
+    for support in _bad_supports(d, core, k):
         sub, relabel = d.induced(support)
         m = sub.n
         order = _branch_order(sub)

@@ -79,11 +79,12 @@ class SparseTrialState:
         return all(x >= self.ell for x in self.xv.values())
 
 
-def _free_pair(members: list[int], d: Digraph) -> bool:
-    """Some two members are not linked by a digon."""
+def _free_pair(members: list[int], digons: list[int]) -> bool:
+    """Some two members are not linked by a digon; bit w of digons[u] is
+    set iff u and w are."""
     for i, u in enumerate(members):
         for w in members[i + 1:]:
-            if not d.has_digon(u, w):
+            if not digons[u] >> w & 1:
                 return True
     return False
 
@@ -98,14 +99,12 @@ def trial(d: Digraph, seed, ell: int = 0) -> SparseTrialState:
     report = density_report(d)
     rng = random.Random(seed)
     assignment = {v: rng.randrange(k) for v in range(d.n)}
-
-    retained = {
-        v: not (
-            any(assignment[u] == assignment[v] for u in d.in_adj[v])
-            and any(assignment[u] == assignment[v] for u in d.out_adj[v])
-        )
-        for v in range(d.n)
-    }
+    out, inn = d.masks
+    digons = [o & i for o, i in zip(out, inn)]
+    same = [0] * k  # the vertex mask of each colour
+    for v, c in assignment.items():
+        same[c] |= 1 << v
+    retained = {v: not (inn[v] & same[c] and out[v] & same[c]) for v, c in assignment.items()}
 
     chosen, xv, yv, zv = {}, {}, {}, {}
     for v in range(d.n):
@@ -120,10 +119,10 @@ def trial(d: Digraph, seed, ell: int = 0) -> SparseTrialState:
             classes.setdefault(assignment[u], []).append(u)
         x = y = 0
         for members in classes.values():
-            if len(members) < 2 or not _free_pair(members, d):
+            if len(members) < 2 or not _free_pair(members, digons):
                 continue
             y += 1
-            if _free_pair([u for u in members if retained[u]], d):
+            if _free_pair([u for u in members if retained[u]], digons):
                 x += 1
         xv[v], yv[v], zv[v] = x, y, y - x
     return SparseTrialState(

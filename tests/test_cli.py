@@ -4,10 +4,12 @@ import contextlib
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -311,24 +313,63 @@ def _dgf_text(n: int):
     return body.map(f"n {n}\n".__add__)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(0, 12).flatmap(_dgf_text))
-def test_any_dgf_text_ends_in_one_json_line(text: str) -> None:
+def _ends_in_one_json_line(text: str, commands) -> None:
+    """Each command on a file holding the text exits 0 with one JSON line on
+    stdout, 1 (check only, a violated bound) with one JSON line on stdout,
+    or 2 with one JSON error line on stderr that is never InternalError."""
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "fuzz.dgf")
         with open(path, "wb") as handle:
             handle.write(text.encode("utf-8", "surrogatepass"))
-        for command in ("dicolor", "params"):
+        for command, *flags in commands:
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, path])
-            if code == 0:
-                assert err.getvalue() == "" and out.getvalue().count("\n") == 1
-                assert isinstance(json.loads(out.getvalue()), dict)
-            else:
-                assert code == 2 and out.getvalue() == ""
-                assert err.getvalue().count("\n") == 1
+                code = main([command, path, *flags])
+            if code == 2:
+                assert out.getvalue() == "" and err.getvalue().count("\n") == 1
                 assert json.loads(err.getvalue())["error"] != "InternalError"
+                continue
+            assert code == 0 or (code == 1 and command == "check")
+            assert out.getvalue().count("\n") == 1
+            assert isinstance(json.loads(out.getvalue()), dict)
+            if code == 0:
+                assert err.getvalue() == ""
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 12).flatmap(_dgf_text))
+def test_any_dgf_text_ends_in_one_json_line(text: str) -> None:
+    _ends_in_one_json_line(text, [("dicolor",), ("params",)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 8).flatmap(_dgf_text))
+def test_any_dgf_text_through_the_derived_views(text: str) -> None:
+    """Commands that read a parsed digraph's derived arcs or adjacency."""
+    dense = ("dense", "--a", "1/600", "--eps", "1/1000000")
+    _ends_in_one_json_line(text, [("check", "--bound", "delmin"), ("transversal",), dense])
+
+
+def test_params_peak_on_a_big_sparse_file(tmp_path) -> None:
+    """The traced peak of params on 2,000 vertices and 28,000 arcs: the
+    parse holds the arc list and the masks, not an arc set beside them."""
+    rng = random.Random(2000)
+    pairs = sorted({tuple(sorted(rng.sample(range(2000), 2))) for _ in range(26500)})[:26000]
+    rng.shuffle(pairs)
+    arcs = [a for u, v in pairs[:2000] for a in ((u, v), (v, u))]
+    arcs += [(u, v) if rng.random() < 0.5 else (v, u) for u, v in pairs[2000:]]
+    path = tmp_path / "params-2000.dgf"
+    path.write_text("n 2000\n" + "".join(f"{u} {v}\n" for u, v in arcs), encoding="ascii")
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = main(["params", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(out.getvalue())["arc_count"] == 28000
+    assert peak <= 7 * 2**20
 
 
 @pytest.mark.parametrize("command", ["params", "dicolor"])

@@ -2,6 +2,7 @@
 
 import pickle
 import random
+import tracemalloc
 from itertools import repeat
 from operator import length_hint
 
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dichroma.canon import canonical_key
 from dichroma.digraph import (
     MAX_ARCS,
     Digraph,
@@ -94,6 +96,32 @@ def test_digraph_views_agree(case) -> None:
     copy = pickle.loads(pickle.dumps(d))
     assert copy == d and hash(copy) == hash(d) and copy.masks == d.masks
     assert copy == Digraph(n, sorted(want)) and copy.out_adj == d.out_adj
+    assert copy.arcs == want and repr(d) == f"Digraph(n={n}, m={len(want)})"
+    for u, v in [(u, v) for u in range(n) for v in range(n)] + [(-1, 0), (0, n), (n, 0)]:
+        assert d.has_arc(u, v) == ((u, v) in want)
+        assert d.has_digon(u, v) == ((u, v) in want and (v, u) in want)
+    shuffled = Digraph(n, random.Random(n).sample(arcs, len(arcs)) + arcs[:2])
+    assert shuffled == d and hash(shuffled) == hash(d)
+    assert Digraph(n + 1, arcs) != d
+    assert d.reverse().arcs == {(v, u) for u, v in want}
+    assert d.symmetric_part().edges == {frozenset(a) for a in want if a[::-1] in want}
+    assert d.underlying_graph().edges == {frozenset(a) for a in want}
+
+
+def test_digraph_footprint() -> None:
+    """Mean bytes a small digraph retains: the masks alone, and keying it
+    caches nothing on it."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ds = [random_digraph(6, 0.3, 0.4, seed) for seed in range(500)]
+        built = tracemalloc.get_traced_memory()[0] - base
+        for d in ds:
+            canonical_key(d)
+        keyed = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert built / len(ds) <= 512 and keyed / len(ds) <= 768
 
 
 def test_first_bad_arc_decides_the_error() -> None:
