@@ -70,8 +70,9 @@ class ASRInstance:
             for u in part:
                 if not 0 <= u < self.digraph.n:
                     raise InvalidParameter(f"vertex {u} out of range")
-                if self.digraph.out_adj[u] & part:
-                    raise InvalidParameter("parts must be independent sets")
+            inside = sum(1 << u for u in part)  # only now: every u is in range
+            if any(self.digraph.masks[0][u] & inside for u in part):
+                raise InvalidParameter("parts must be independent sets")
         if seen != set(range(self.digraph.n)):
             raise InvalidParameter("parts must cover every vertex")
 
@@ -130,11 +131,13 @@ class _StructureMismatch(Exception):
 
 
 def _transversal_search(
-    d: Digraph, parts: Sequence[frozenset[int]], fixed: int, forbidden: frozenset[int]
+    d: Digraph, parts: Sequence[frozenset[int]], fixed: int, forbidden: int
 ) -> Optional[set[int]]:
-    """One allowed vertex per part extending `fixed`, acyclic overall."""
-    order = sorted(parts, key=lambda p: (len(p - forbidden), sorted(p)))
-    steps = [(sorted(p - forbidden), (0,)) for p in order]
+    """One vertex per part extending `fixed`, acyclic overall, avoiding the
+    vertex mask `forbidden`; parts with the fewest allowed vertices first."""
+    allowed = {p: [u for u in sorted(p) if not forbidden >> u & 1] for p in parts}
+    order = sorted(parts, key=lambda p: (len(allowed[p]), sorted(p)))
+    steps = [(allowed[p], (0,)) for p in order]
     found = next(_search(*d.masks, [1 << fixed], steps), None)
     return None if found is None else {fixed, *found}
 
@@ -152,7 +155,7 @@ def find_asr(inst: ASRInstance, anchor: Optional[int] = None) -> frozenset[int]:
     rest = tuple(p for i, p in enumerate(inst.parts) if i != idx)
 
     if inst.satisfies_degree_condition:
-        found = _transversal_search(d, rest, x1, d.out_adj[x1])
+        found = _transversal_search(d, rest, x1, d.masks[0][x1])
         if found is None:
             raise InternalInconsistency(
                 "no ASR avoiding the anchor's out-neighbours, though the "
@@ -161,7 +164,7 @@ def find_asr(inst: ASRInstance, anchor: Optional[int] = None) -> frozenset[int]:
     else:
         # without an anchor the representative of the last part is free
         for x1 in sorted(inst.parts[idx]) if anchor is None else [x1]:
-            found = _transversal_search(d, rest, x1, frozenset())
+            found = _transversal_search(d, rest, x1, 0)
             if found is not None:
                 break
         if found is None:
@@ -190,11 +193,13 @@ def is_good_triplet(inst: ASRInstance, triplet: GoodTriplet) -> bool:
         return False
     if any(len(y & inst.parts[i]) != 1 for i in i_set) or len(y) != len(i_set):
         return False
-    if any(len(d.in_adj[u] & x) != 1 for u in y):
+    out, inn = d.masks
+    x_mask, y_mask = sum(1 << u for u in x), sum(1 << u for u in y)
+    if any((inn[u] & x_mask).bit_count() != 1 for u in y):
         return False
-    if any(not d.out_adj[u] & y for u in x):
+    if any(not out[u] & y_mask for u in x):
         return False
-    return all(d.in_adj[v] & x or d.out_adj[v] & y for v in v_i | {x1})
+    return all(inn[v] & x_mask or out[v] & y_mask for v in v_i | {x1})
 
 
 def search_good_triplet(
@@ -225,22 +230,20 @@ def _covering_sets(d: Digraph, pool: Sequence[int], x1: int, y: set[int]) -> Ite
     keeps exactly one in-neighbour (exact cover by in-stars).  Members with
     no out-neighbour in y are pruned: they could never sit in a good X."""
     out, inn = d.masks
-    covered: set[int] = set()
+    y_mask = sum(1 << u for u in y)
 
-    def walk(i: int, x: int) -> Iterator[set[int]]:
+    def walk(i: int, x: int, covered: int) -> Iterator[set[int]]:
         if i == len(pool):
-            if x >> x1 & 1 and covered == y:
+            if x >> x1 & 1 and covered == y_mask:
                 yield {v for v in pool if x >> v & 1}
             return
         v = pool[i]
-        hits = d.out_adj[v] & y
+        hits = out[v] & y_mask
         if hits and not hits & covered and not _closes_cycle(out, inn, x, v):
-            covered.update(hits)
-            yield from walk(i + 1, x | 1 << v)
-            covered.difference_update(hits)
-        yield from walk(i + 1, x)
+            yield from walk(i + 1, x | 1 << v, covered | hits)
+        yield from walk(i + 1, x, covered)
 
-    yield from walk(0, 0)
+    yield from walk(0, 0, 0)
 
 
 def list_dicolour_asr(d: Digraph, lists: ListAssignment, k: int) -> Dicolouring:
@@ -256,10 +259,11 @@ def list_dicolour_asr(d: Digraph, lists: ListAssignment, k: int) -> Dicolouring:
             raise MissingList(f"vertex {v} has no colour list")
     if d.n == 0:
         return Dicolouring(0, {})
+    out, inn = d.masks
     for v in range(d.n):
         for c in lists[v]:
-            out_c = sum(1 for u in d.out_adj[v] if c in lists[u])
-            in_c = sum(1 for u in d.in_adj[v] if c in lists[u])
+            out_c = sum(1 for u in _bits(out[v]) if c in lists[u])
+            in_c = sum(1 for u in _bits(inn[v]) if c in lists[u])
             if out_c > k or in_c > len(lists[v]) - k:
                 raise PreconditionViolated(
                     f"vertex {v}, colour {c}: colour-degree bounds fail"
@@ -269,7 +273,7 @@ def list_dicolour_asr(d: Digraph, lists: ListAssignment, k: int) -> Dicolouring:
     arcs = [
         (index[(u, c)], index[(v, c)])
         for (u, c) in pairs
-        for v in d.out_adj[u]
+        for v in _bits(out[u])
         if c in lists[v]
     ]
     h = Digraph(len(pairs), arcs)

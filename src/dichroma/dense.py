@@ -18,9 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Mapping, Optional
 
-from .digraph import Digraph, Graph
+from .digraph import Digraph, Graph, _arc_list, _bits
 from .errors import (
     InternalInconsistency,
     InvalidParameter,
@@ -106,30 +106,32 @@ def partition_N123(d: Digraph, v: int, side: str, a) -> DensePartition:
             f"vertex {v} misses too many arcs on its {side} side"
         )
 
-    core = work.out_adj[v] | {v}
-    pad_count = delta + 1 - len(core)
+    core = work.masks[0][v] | 1 << v
+    pad_count = delta + 1 - core.bit_count()
     padded = Digraph(
         work.n + pad_count,
-        list(work.arcs) + [(v, work.n + i) for i in range(pad_count)],
+        _arc_list(work.masks[0]) + [(v, work.n + i) for i in range(pad_count)],
     )
-    n_set = frozenset(core | set(range(work.n, padded.n)))
-    nbar = frozenset(range(padded.n)) - n_set
+    out = padded.masks[0]
+    n_mask = core | ((1 << pad_count) - 1) << work.n
+    nbar = ((1 << padded.n) - 1) ^ n_mask
+    n_set = frozenset(_bits(n_mask))
 
     n1 = frozenset(
-        u for u in n_set if 2 * len(padded.out_adj[u] & nbar) >= delta
+        u for u in n_set if 2 * (out[u] & nbar).bit_count() >= delta
     )
-    outward = nbar | n1
+    outward = nbar | sum(1 << u for u in n1)
     n2 = frozenset(
         u
         for u in n_set - n1 - {v}
-        if len(padded.out_adj[u] & outward) ** 2 * a.denominator
+        if (out[u] & outward).bit_count() ** 2 * a.denominator
         >= 4 * a.numerator * delta * delta
     )
     n3 = n_set - n1 - n2
     if v not in n3 or n1 | n2 | n3 != n_set or len(n_set) != delta + 1:
         raise InternalInconsistency("neighbourhood partition is malformed")
     return DensePartition(
-        v, side, a, delta, padded, d.n, n_set, nbar, n1, n2, n3
+        v, side, a, delta, padded, d.n, n_set, frozenset(_bits(nbar)), n1, n2, n3
     )
 
 
@@ -177,6 +179,16 @@ def dense_colour(
     return _colour_core(d, part, k, base_colouring)
 
 
+def _core_lists(part: DensePartition, base: Mapping[int, int], k: int) -> dict[int, frozenset[int]]:
+    """L(u) = [k] minus the base colours on the out-neighbours of u beyond
+    N3, for each core vertex u; base covers every vertex beyond N3."""
+    out, beyond = part.padded.masks[0], ~sum(1 << u for u in part.n3)
+    return {
+        u: frozenset(range(k)) - {base[w] for w in _bits(out[u] & beyond)}
+        for u in sorted(part.n3)
+    }
+
+
 def _colour_core(
     d: Digraph, part: DensePartition, k: int, base_colouring: Dicolouring
 ) -> Optional[Dicolouring]:
@@ -196,11 +208,7 @@ def _colour_core(
     ):
         raise PreconditionViolated("base colouring is not a dicolouring")
 
-    lists = {
-        u: frozenset(range(k))
-        - {base[w] for w in padded.out_adj[u] - part.n3}
-        for u in sorted(part.n3)
-    }
+    lists = _core_lists(part, base, k)
     core, relabel = padded.induced(part.n3)
     found = list_dicolourable(
         core, {relabel[u]: lists[u] for u in part.n3}
@@ -293,20 +301,8 @@ def dense_reduce_theorem(d: Digraph, a, eps) -> DenseReport:
     matching, exposed = _complement_matching(
         part.padded, sorted(part.n3)
     )
-    lists_min = min(
-        (
-            k
-            - len(
-                {
-                    base.assignment[w]
-                    for w in part.padded.out_adj[u] - part.n3
-                    if w in base.assignment
-                }
-            )
-            for u in part.n3
-        ),
-        default=k,
-    )
+    # base colours every vertex but v, and v lies in N3
+    lists_min = min(map(len, _core_lists(part, base.assignment, k).values()), default=k)
     p, q = a.numerator, a.denominator
     claims = {
         "n1_small": len(part.n1) ** 2 * q < 4 * p * part.delta**2,

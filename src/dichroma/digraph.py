@@ -7,9 +7,9 @@ is the graph of digons, the underlying graph UG(D) the graph of all adjacent
 pairs.
 
 Instances are immutable after construction: the constructor stores only the
-int-bitmask adjacency ``Digraph.masks``; the arc set is read off it on each
-access and the frozenset adjacency is derived from it on first read, so
-instances are small and can be shared freely across worker processes.
+int-bitmask adjacency ``Digraph.masks``, every neighbourhood is read off it,
+and no call leaves state on an instance, so instances are small and can be
+shared freely across worker processes.
 """
 
 from __future__ import annotations
@@ -83,12 +83,11 @@ class Digraph:
     ``masks`` is the (out, in) pair of int bitmasks, built in the loop that
     checks the arcs: bit w of out[v] is set iff v -> w, of in[v] iff w -> v;
     n*n/4 bytes at worst, 256 MiB at MAX_VERTICES.  It is the only stored
-    form: ``arcs`` is read off it on each access, and ``out_adj[v]`` /
-    ``in_adj[v]`` are the same neighbourhoods as frozensets, derived on
-    first read.  Equality and hashing use the out-masks, which fix ``n``.
+    form: ``arcs`` is read off it on each access.  Equality and hashing use
+    the out-masks, which fix ``n``.
     """
 
-    __slots__ = ("n", "masks", "_adj")
+    __slots__ = ("n", "masks")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]]):
         if n < 0:
@@ -108,7 +107,6 @@ class Digraph:
             raise InstanceTooLarge(f"more than {MAX_ARCS} arcs")
         self.n = n
         self.masks = (tuple(out), tuple(inn))
-        self._adj = None
 
     # -- basic queries -------------------------------------------------
 
@@ -117,14 +115,6 @@ class Digraph:
         """The arc set, read off the out-masks on every access: a caller
         that reads it in a loop should read it once before the loop."""
         return frozenset(_arc_list(self.masks[0]))
-
-    def _frozen_adj(self) -> tuple[tuple[frozenset[int], ...], ...]:
-        if self._adj is None:
-            self._adj = tuple(tuple(frozenset(_bits(m)) for m in side) for side in self.masks)
-        return self._adj
-
-    out_adj = property(lambda self: self._frozen_adj()[0], doc="Out-neighbourhood frozensets.")
-    in_adj = property(lambda self: self._frozen_adj()[1], doc="In-neighbourhood frozensets.")
 
     def arc_count(self) -> int:
         return sum(m.bit_count() for m in self.masks[0])
@@ -269,7 +259,7 @@ def random_digraph(n: int, p_digon: float, p_simple: float, seed) -> Digraph:
     single arc of random direction (prob p_simple), else a non-edge."""
     if n < 0:
         raise InvalidParameter("vertex count must be non-negative")
-    if p_digon < 0 or p_simple < 0 or p_digon + p_simple > 1:
+    if not (p_digon >= 0 and p_simple >= 0 and p_digon + p_simple <= 1):  # NaN fails too
         raise InvalidParameter("probabilities must be non-negative with sum <= 1")
     rng = random.Random(seed)
 

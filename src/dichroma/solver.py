@@ -484,16 +484,20 @@ def check_partial_kl(d: Digraph, partial: Dicolouring, k: int, ell: int) -> bool
     its out-neighbourhood."""
     if not is_valid(d, partial):
         return False
+    if ell <= 0:  # no count of repeats falls below ell
+        return True
+    out, inn = d.masks
     for v in range(d.n):
-        if _repeats(partial.assignment, d.in_adj[v]) < ell and (
-            _repeats(partial.assignment, d.out_adj[v]) < ell
+        if _repeats(partial.assignment, inn[v]) < ell and (
+            _repeats(partial.assignment, out[v]) < ell
         ):
             return False
     return True
 
 
-def _repeats(assignment: Mapping[int, int], side: frozenset[int]) -> int:
-    counts = Counter(assignment[u] for u in side if u in assignment)
+def _repeats(assignment: Mapping[int, int], side: int) -> int:
+    """How many colours the vertex mask `side` holds at least twice."""
+    counts = Counter(assignment[u] for u in _bits(side) if u in assignment)
     return sum(1 for n in counts.values() if n >= 2)
 
 
@@ -519,13 +523,14 @@ def greedy_complete(d: Digraph, partial: Dicolouring, k: int, ell: int) -> Dicol
         raise NotPartialKL("input is not a valid partial (k, ell)-dicolouring")
 
     assignment = dict(partial.assignment)
+    out, inn = d.masks
     for v in range(d.n):
         if v in assignment:
             continue
-        side = d.in_adj[v]
-        if _repeats(assignment, side) < ell:
-            side = d.out_adj[v]
-        taken = {assignment[u] for u in side if u in assignment}
+        side = inn[v]
+        if ell > 0 and _repeats(assignment, side) < ell:
+            side = out[v]
+        taken = {assignment[u] for u in _bits(side) if u in assignment}
         colour = next((c for c in range(palette) if c not in taken), None)
         if colour is None:
             raise CompletionStuck(

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
-from .digraph import Digraph
+from .digraph import Digraph, _bits
 from .errors import (
     InternalInconsistency,
     InvalidParameter,
@@ -108,14 +108,10 @@ def trial(d: Digraph, seed, ell: int = 0) -> SparseTrialState:
 
     chosen, xv, yv, zv = {}, {}, {}, {}
     for v in range(d.n):
-        side = (
-            d.out_adj[v]
-            if report.m_plus[v] <= report.m_minus[v]
-            else d.in_adj[v]
-        )
-        chosen[v] = side
+        side = list(_bits(out[v] if report.m_plus[v] <= report.m_minus[v] else inn[v]))
+        chosen[v] = frozenset(side)
         classes: dict[int, list[int]] = {}
-        for u in sorted(side):
+        for u in side:
             classes.setdefault(assignment[u], []).append(u)
         x = y = 0
         for members in classes.values():
@@ -137,6 +133,8 @@ def sample_partial(
     as a partial (floor(Delta/2), ell)-dicolouring; None after max_tries."""
     if ell < 0:
         raise InvalidParameter("ell must be non-negative")
+    if max_tries < 1:
+        raise InvalidParameter("max_tries must be at least 1")
     k = degree_profile(d).delta_max // 2
     if ell > k:
         return None  # cannot repeat more colours than the palette holds
@@ -168,6 +166,8 @@ def sparse_dicolour(
     every Delta < 4388, every trial is accepted."""
     if b < 0:
         raise InvalidParameter("sparsity bound must be non-negative")
+    if max_tries < 1:
+        raise InvalidParameter("max_tries must be at least 1")
     if not is_b_sparse(d, b):
         raise PreconditionViolated("digraph is not B-sparse for this B")
     if d.n == 0:
@@ -225,9 +225,9 @@ def monte_carlo(d: Digraph, v: int, trials: int, seed) -> MonteCarloEstimates:
         return MonteCarloEstimates(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, trials)
     k = profile.delta_max // 2
     report = density_report(d)
-    side = sorted(
-        d.out_adj[v] if report.m_plus[v] <= report.m_minus[v] else d.in_adj[v]
-    )
+    out, inn = d.masks
+    side_mask = out[v] if report.m_plus[v] <= report.m_minus[v] else inn[v]
+    side = list(_bits(side_mask))
     one = int.from_bytes(b"\1\0" * trials, "little")
     high = one << 15
     low = high - one
@@ -250,16 +250,18 @@ def monte_carlo(d: Digraph, v: int, trials: int, seed) -> MonteCarloEstimates:
         packed[1::2] = raw[5::8]
         return int.from_bytes(packed, "little")
 
-    touched = set(side).union(*(d.in_adj[u] | d.out_adj[u] for u in side))
-    colours = {u: draw() for u in sorted(touched)}
+    touched = side_mask
+    for u in side:
+        touched |= out[u] | inn[u]
+    colours = {u: draw() for u in _bits(touched)}  # ascending, as the stream needs
 
     side_cols = [colours[u] for u in side]
     retained = []  # top bits: no in-neighbour or no out-neighbour agrees
     for u, own in zip(side, side_cols):
         differ_in = differ_out = -1
-        for w in d.in_adj[u]:
+        for w in _bits(inn[u]):
             differ_in &= (own ^ colours[w]) + low
-        for w in d.out_adj[u]:
+        for w in _bits(out[u]):
             differ_out &= (own ^ colours[w]) + low
         retained.append((differ_in | differ_out) & high)
 

@@ -121,6 +121,9 @@ def test_sparse(capsys, tmp_path) -> None:
     assert code == 0 and out["found"] is True
     code, _, err = _run(capsys, ["sparse", str(path), "--B", "99"])
     assert code == 2 and err["error"] == "PreconditionViolated"
+    for tries in ("0", "-1"):
+        code, out, err = _run(capsys, ["sparse", str(path), "--B", "0", "--max-tries", tries])
+        assert code == 2 and out is None and err["error"] == "InvalidParameter"
 
 
 def test_dense(capsys, k4) -> None:
@@ -186,6 +189,9 @@ def test_gen_rejects(capsys) -> None:
     assert code == 2 and err["error"] == "InvalidParameter"
     code, _, err = _run(capsys, ["gen", "cycle", "x"])
     assert code == 2 and err["error"] == "InvalidParameter"
+    for probabilities in (["nan", "0"], ["0", "nan"], ["nan", "nan"], ["inf", "0"]):
+        code, out, err = _run(capsys, ["gen", "random", "5", *probabilities])
+        assert code == 2 and out is None and err["error"] == "InvalidParameter"
 
 
 def test_error_exit_codes(capsys, tmp_path) -> None:
@@ -313,27 +319,32 @@ def _dgf_text(n: int):
     return body.map(f"n {n}\n".__add__)
 
 
+def _one_json_line(argv) -> None:
+    """main(argv) exits 0 with one JSON line on stdout, 1 (check only, a
+    violated bound) with one JSON line on stdout, or 2 with one JSON error
+    line on stderr that is never InternalError."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert json.loads(err.getvalue())["error"] != "InternalError"
+        return
+    assert code == 0 or (code == 1 and argv[0] == "check")
+    assert out.getvalue().count("\n") == 1
+    assert isinstance(json.loads(out.getvalue()), dict)
+    if code == 0:
+        assert err.getvalue() == ""
+
+
 def _ends_in_one_json_line(text: str, commands) -> None:
-    """Each command on a file holding the text exits 0 with one JSON line on
-    stdout, 1 (check only, a violated bound) with one JSON line on stdout,
-    or 2 with one JSON error line on stderr that is never InternalError."""
+    """Each command on a file holding the text ends as _one_json_line says."""
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "fuzz.dgf")
         with open(path, "wb") as handle:
             handle.write(text.encode("utf-8", "surrogatepass"))
         for command, *flags in commands:
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main([command, path, *flags])
-            if code == 2:
-                assert out.getvalue() == "" and err.getvalue().count("\n") == 1
-                assert json.loads(err.getvalue())["error"] != "InternalError"
-                continue
-            assert code == 0 or (code == 1 and command == "check")
-            assert out.getvalue().count("\n") == 1
-            assert isinstance(json.loads(out.getvalue()), dict)
-            if code == 0:
-                assert err.getvalue() == ""
+            _one_json_line([command, path, *flags])
 
 
 @settings(max_examples=80, deadline=None)
@@ -348,6 +359,78 @@ def test_any_dgf_text_through_the_derived_views(text: str) -> None:
     """Commands that read a parsed digraph's derived arcs or adjacency."""
     dense = ("dense", "--a", "1/600", "--eps", "1/1000000")
     _ends_in_one_json_line(text, [("check", "--bound", "delmin"), ("transversal",), dense])
+
+
+_SPARSE_FUZZ_FILES = ["n 0\n", "n 2\n0 1\n", "n 6\n" + "".join(
+    f"{i} {(i + j) % 6}\n" for i in range(6) for j in (1, 2))]
+_ANY_INT = st.integers(-2, 8) | st.integers()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_SPARSE_FUZZ_FILES), _ANY_INT, _ANY_INT, _ANY_INT)
+def test_any_sparse_ints_end_in_one_json_line(text: str, b: int, seed: int, tries: int) -> None:
+    flags = ["--B", str(b), "--seed", str(seed), "--max-tries", str(tries)]
+    _ends_in_one_json_line(text, [("sparse", *flags)])
+
+
+def _small_or_not_an_int(arg: str) -> bool:
+    """A free-form argument spells no int past 64 in size, so that every
+    family stays small, and never reads as an option such as -o."""
+    try:
+        return abs(int(arg)) <= 64
+    except ValueError:
+        return not arg.startswith("-") or re.match(r"-[\d.]", arg) is not None
+
+
+_SIZE = st.integers(-3, 64).map(str)
+_PROBABILITY = (st.floats(0, 1) | st.floats()).map(str)
+_SEED = st.integers().map(str)
+_GEN_CALLS = st.one_of(
+    st.tuples(st.sampled_from(["complete", "cycle"]), st.tuples(_SIZE)),
+    st.tuples(st.just("tournament"), st.tuples(_SIZE) | st.tuples(_SIZE, _SEED)),
+    st.tuples(st.just("random"), st.tuples(_SIZE, _PROBABILITY, _PROBABILITY, _SEED)),
+    # a part size p lists about 3 n p^2 arcs: at most 16 keeps each call short
+    st.tuples(st.just("obstruction"), st.tuples(_SIZE, st.integers(-3, 16).map(str))),
+    st.tuples(  # any family name and any argument list
+        st.text(max_size=6).filter(_small_or_not_an_int),
+        st.lists(
+            (_SIZE | _PROBABILITY | st.text(max_size=6)).filter(_small_or_not_an_int),
+            max_size=5,
+        ),
+    ),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_GEN_CALLS)
+def test_any_gen_arguments_end_in_one_json_line(call) -> None:
+    family, args = call
+    _one_json_line(["gen", family, *args])
+
+
+def _partition(order: list[int], cuts: set[int]) -> list[list[int]]:
+    bounds = [0, *sorted(cuts), len(order)]
+    return [order[i:j] for i, j in zip(bounds, bounds[1:])]
+
+
+_PARTS = st.one_of(
+    st.builds(_partition, st.permutations(range(6)), st.sets(st.integers(1, 5))),
+    st.lists(st.lists(st.integers(-1, 6) | st.integers(), max_size=4), max_size=5),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_PARTS, st.just([]) | st.lists(st.integers(), max_size=2), st.integers(1, 4) | st.integers())
+def test_any_int_parts_end_in_one_json_line(parts, extra: list[int], k: int) -> None:
+    # a directed triangle 0 1 2, an arc 3 -> 4 and a lone vertex 5
+    text = "n 6\n0 1\n1 2\n2 0\n3 4\n"
+    if parts:
+        parts[0] += extra
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "parts.json")
+        with open(path, "w", encoding="ascii") as handle:
+            json.dump(parts, handle)
+        _ends_in_one_json_line(text, [("asr", "--parts", path, "--k", str(k))])
 
 
 def test_params_peak_on_a_big_sparse_file(tmp_path) -> None:

@@ -103,12 +103,13 @@ def test_partition_membership_rules() -> None:
             continue
         v, side = found
         part = partition_N123(d, v, side, Fraction(1, 3))
-        padded, delta = part.padded, part.delta
+        arcs, delta = part.padded.arcs, part.delta
         for u in part.n_set:
-            in_n1 = 2 * len(padded.out_adj[u] & part.nbar) >= delta
+            heads = {w for x, w in arcs if x == u}
+            in_n1 = 2 * len(heads & part.nbar) >= delta
             assert (u in part.n1) == in_n1
             if u not in part.n1 and u != v:
-                reach = len(padded.out_adj[u] & (part.nbar | part.n1))
+                reach = len(heads & (part.nbar | part.n1))
                 assert (u in part.n2) == (reach**2 * 3 >= 4 * delta * delta)
         assert v in part.n3
         assert part.n1 | part.n2 | part.n3 == part.n_set

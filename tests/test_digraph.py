@@ -3,6 +3,7 @@
 import pickle
 import random
 import tracemalloc
+from fractions import Fraction
 from itertools import repeat
 from operator import length_hint
 
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dichroma.asr import ASRInstance, find_asr, list_dicolour_asr
 from dichroma.canon import canonical_key
+from dichroma.dense import dense_reduce_theorem
 from dichroma.digraph import (
     MAX_ARCS,
     Digraph,
@@ -23,6 +26,8 @@ from dichroma.digraph import (
     symmetric_closure,
 )
 from dichroma.errors import InstanceTooLarge, InvalidParameter, InvalidVertex, SelfLoop
+from dichroma.solver import check_partial_kl
+from dichroma.sparse import sparse_dicolour
 
 from .oracles import acyclic, isomorphic
 
@@ -84,18 +89,18 @@ def test_digraph_views_agree(case) -> None:
     want = set(arcs)
     assert d.arcs == want and d.arc_count() == len(want)
     out, inn = d.masks
-    assert len(out) == len(inn) == len(d.out_adj) == len(d.in_adj) == n
+    assert len(out) == len(inn) == n
     for v in range(n):
         heads = {w for u, w in want if u == v}
         tails = {u for u, w in want if w == v}
-        assert d.out_adj[v] == heads == {w for w in range(n) if out[v] >> w & 1}
-        assert d.in_adj[v] == tails == {w for w in range(n) if inn[v] >> w & 1}
+        assert heads == {w for w in range(n) if out[v] >> w & 1}
+        assert tails == {w for w in range(n) if inn[v] >> w & 1}
         assert out[v] >> n == inn[v] >> n == 0
         assert d.out_degree(v) == len(heads) and d.in_degree(v) == len(tails)
     assert sum(map(d.out_degree, range(n))) == sum(map(d.in_degree, range(n))) == len(want)
     copy = pickle.loads(pickle.dumps(d))
     assert copy == d and hash(copy) == hash(d) and copy.masks == d.masks
-    assert copy == Digraph(n, sorted(want)) and copy.out_adj == d.out_adj
+    assert copy == Digraph(n, sorted(want))
     assert copy.arcs == want and repr(d) == f"Digraph(n={n}, m={len(want)})"
     for u, v in [(u, v) for u in range(n) for v in range(n)] + [(-1, 0), (0, n), (n, 0)]:
         assert d.has_arc(u, v) == ((u, v) in want)
@@ -134,8 +139,27 @@ def test_first_bad_arc_decides_the_error() -> None:
 
 def test_neighbourhoods() -> None:
     d = Digraph(4, [(0, 1), (1, 0), (0, 2), (3, 0)])
-    assert d.out_adj[0] == frozenset({1, 2})
-    assert d.in_adj[0] == frozenset({1, 3})
+    out, inn = d.masks
+    assert out == (0b0110, 0b0001, 0b0000, 0b0001)
+    assert inn == (0b1010, 0b0001, 0b0001, 0b0000)
+
+
+def test_library_calls_leave_no_state() -> None:
+    """The masks are all a digraph holds, and the constructive procedures
+    read them without caching anything on the digraph."""
+    assert Digraph.__slots__ == ("n", "masks")
+    # 0 sees a bidirected triangle 1, 2, 3 (a dense vertex); 4..7 are isolated
+    arcs = [(0, 1), (0, 2), (0, 3)] + [(u, w) for u in (1, 2, 3) for w in (1, 2, 3) if u != w]
+    d = Digraph(8, arcs)
+    before = pickle.dumps(d)
+    colouring = sparse_dicolour(d, 0, seed=1)
+    assert colouring is not None and check_partial_kl(d, colouring, colouring.k, 0)
+    report = dense_reduce_theorem(d, Fraction(1, 600), Fraction(1, 1000000))
+    assert report.dense_vertex == 0 and report.colouring is not None
+    parts = (frozenset({0, 7}), frozenset({1, 4}), frozenset({2, 5}), frozenset({3, 6}))
+    assert len(find_asr(ASRInstance(d, parts, 1))) == 4
+    assert list_dicolour_asr(d, {v: frozenset(range(6)) for v in range(8)}, 3).k == 6
+    assert pickle.dumps(d) == before
 
 
 @settings(max_examples=150, deadline=None)
@@ -230,6 +254,10 @@ def test_random_generators_seeded() -> None:
     )
     with pytest.raises(InvalidParameter):
         random_digraph(4, 0.7, 0.7, seed=0)
+    nan = float("nan")
+    for p_digon, p_simple in ((nan, 0.5), (0.5, nan), (nan, nan), (float("inf"), 0.0)):
+        with pytest.raises(InvalidParameter):
+            random_digraph(4, p_digon, p_simple, seed=1)
 
 
 @settings(max_examples=60, deadline=None)

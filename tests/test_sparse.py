@@ -43,10 +43,10 @@ def test_trial_accounting() -> None:
         assert 0 <= state.zv[v] <= state.yv[v] <= state.k
         # uncolouring rule depends on the initial assignment only
         same_in = any(
-            state.assignment[u] == state.assignment[v] for u in d.in_adj[v]
+            state.assignment[(v - j) % 9] == state.assignment[v] for j in (1, 2)
         )
         same_out = any(
-            state.assignment[u] == state.assignment[v] for u in d.out_adj[v]
+            state.assignment[(v + j) % 9] == state.assignment[v] for j in (1, 2)
         )
         assert state.retained[v] == (not (same_in and same_out))
     partial = state.partial_assignment()
@@ -71,6 +71,10 @@ def test_sample_partial() -> None:
     assert sample_partial(d, ell=degree_profile(d).delta_max, max_tries=2, seed=1) is None
     with pytest.raises(InvalidParameter):
         sample_partial(d, ell=-1, max_tries=1, seed=1)
+    for tries in (0, -1):  # also where ell > k would answer None at once
+        for ell in (0, degree_profile(d).delta_max):
+            with pytest.raises(InvalidParameter):
+                sample_partial(d, ell=ell, max_tries=tries, seed=1)
 
 
 def test_sparse_dicolour_end_to_end() -> None:
@@ -93,6 +97,10 @@ def test_sparse_dicolour_validation() -> None:
         sparse_dicolour(d, 10**6)
     # degenerate degrees skip the sampler but still colour exactly
     tiny = symmetric_closure(Graph(2, [(0, 1)]))
+    for tries in (0, -1):  # the Delta < 2 shortcut does not skip the check
+        for g in (d, tiny, Digraph(0, [])):
+            with pytest.raises(InvalidParameter):
+                sparse_dicolour(g, 0, max_tries=tries)
     got = sparse_dicolour(tiny, 0)
     assert got is not None and is_valid(tiny, got, require_total=True)
     assert sparse_dicolour(Digraph(0, []), 0) is not None
