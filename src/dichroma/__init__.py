@@ -28,7 +28,7 @@ from .dense import (
     find_dense_vertex,
     partition_N123,
 )
-from .dgf import emit_dgf, emit_json, parse_dgf
+from .dgf import emit_dgf, emit_json, parse_dgf, write_json
 from .digraph import (
     Digraph,
     Graph,
@@ -70,6 +70,7 @@ from .harness import (
     VerificationRecord,
     delmin_reduction,
     hunt,
+    hunt_records,
     log_cubed_threshold,
     main_constants,
     nonisomorphic_digraphs,

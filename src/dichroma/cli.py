@@ -3,8 +3,10 @@
 Every command reads digraphs from DGF files, writes one line of JSON to
 standard output, and exits 0 on success, 1 when a hunted or checked bound
 is violated, and 2 on any error, usage errors included, with one line of
-JSON ``{"error", "message"}`` on standard error.  The argument parser is
-built once per process, on the first call to main.
+JSON ``{"error", "message"}`` on standard error.  ``hunt`` checks every
+argument, then writes each record once it is verified: its stdout is cut
+short only when an internal error or a closed pipe stops it (exit 2).
+The argument parser is built once per process, on the first call to main.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Optional, Sequence
 
 from .asr import ASRInstance, biclique_transversal, find_asr
 from .dense import dense_reduce_theorem
-from .dgf import emit_dgf, emit_json, parse_dgf
+from .dgf import emit_dgf, emit_json, parse_dgf, write_json
 from .digraph import (
     Digraph,
     complete_digraph,
@@ -28,7 +30,7 @@ from .digraph import (
     random_tournament,
 )
 from .errors import DichromaError, InvalidParameter, NoASR
-from .harness import hunt, verify_delmin, verify_instance
+from .harness import hunt_records, verify_delmin, verify_instance
 from .params import (
     biclique_number,
     degree_profile,
@@ -174,7 +176,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    report = hunt(
+    violations: list[str] = []
+    bound, eps, records = hunt_records(
         {
             "mode": args.mode,
             "n_max": args.n_max,
@@ -183,10 +186,12 @@ def _cmd_hunt(args) -> int:
             "bound": args.bound,
             "eps": _fraction(args.eps) if args.eps is not None else None,
             "family": args.family,
-        }
+        },
+        violations,
     )
-    _emit(report)
-    return 1 if report.violations else 0
+    report = {"bound": bound, "eps": eps, "records": records, "violations": violations}
+    write_json(sys.stdout.write, report, "records")
+    return 1 if violations else 0
 
 
 _GENERATORS = {

@@ -105,9 +105,11 @@ def emit_dgf(d: Digraph) -> str:
 
 
 @functools.cache
-def _record_names(cls) -> list[str]:
+def _record_names(cls) -> tuple[list[str], bool, bool]:
+    """A record's field names, and whether it derives holds and violated."""
     names = [f.name for f in dataclasses.fields(cls)]
-    return names + [x for x in ("holds", "violated") if hasattr(cls, x) and x not in names]
+    holds = hasattr(cls, "holds") and "holds" not in names
+    return names, holds, holds and hasattr(cls, "violated") and "violated" not in names
 
 
 def _plain(obj):
@@ -128,7 +130,13 @@ def _plain(obj):
             "assignment": {str(v): c for v, c in obj.assignment.items()},
         }
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {name: _plain(getattr(obj, name)) for name in _record_names(type(obj))}
+        names, holds, violated = _record_names(type(obj))
+        plain = {name: _plain(getattr(obj, name)) for name in names}
+        if holds:  # str keys and bool values, plain already; violated is read off it
+            plain["holds"] = checks = obj.holds
+            if violated:
+                plain["violated"] = [name for name, ok in checks.items() if not ok]
+        return plain
     if isinstance(obj, dict):
         return {str(k): _plain(v) for k, v in obj.items()}
     if isinstance(obj, (frozenset, set)):
@@ -142,8 +150,23 @@ def _plain(obj):
     return repr(obj)
 
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+
+
 def emit_json(record) -> str:
     """Deterministic JSON for any result record in this package, on one line:
     CPython uses its C encoder only when ``indent`` is None, several times
     faster.  ``python -m json.tool`` indents the output for reading."""
-    return json.dumps(_plain(record), sort_keys=True) + "\n"
+    return _encode(_plain(record)) + "\n"
+
+
+def write_json(write, record: dict, key: str) -> None:
+    """Write ``emit_json(record)`` through ``write``, rendering the items of
+    the iterable ``record[key]`` one at a time.  The fields that sort after
+    ``key`` are rendered last, so they may be filled in as the items pass."""
+    fields = {**record, key: []}
+    write(_encode(_plain({k: v for k, v in fields.items() if k <= key}))[:-2])  # to "["
+    for i, item in enumerate(record[key]):
+        write((", " if i else "") + _encode(_plain(item)))
+    rest = _encode(_plain({k: v for k, v in fields.items() if k >= key}))
+    write("]" + rest[len(_encode(key)) + 5 :] + "\n")  # past '{"<key>": []'

@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import chain, islice, product, starmap
 from typing import Iterator, Mapping, Optional
 
 from .canon import canonical_key
@@ -414,14 +414,16 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
-def hunt(config: Mapping[str, object]) -> HuntReport:
-    """Stream instances, verify the chosen bound on each, and report.
+def hunt_records(
+    config: Mapping[str, object], violations: list[str]
+) -> tuple[str, Fraction, Iterator[VerificationRecord]]:
+    """Check a campaign's settings, raising every InvalidParameter before
+    any instance is drawn; return its bound, its eps and its records.
 
     Random mode draws `count` seeded digraphs on `n_max` vertices;
     exhaustive mode walks every isomorphism class of the family up to
-    `n_max`.  Verification fans out over processes (capped by
-    DICHROMA_THREADS); records are merged back in generation order so
-    output is deterministic either way.
+    `n_max`.  Each record is drawn and verified as it is read, and
+    appends its id to the empty list `violations` if its bound fails.
     """
     settings = dict(_HUNT_DEFAULTS)
     for key, value in config.items():
@@ -432,8 +434,8 @@ def hunt(config: Mapping[str, object]) -> HuntReport:
     n_max = int(settings["n_max"])  # type: ignore[arg-type]
     count = int(settings["count"])  # type: ignore[arg-type]
     seed = int(settings["seed"])  # type: ignore[arg-type]
-    bound = settings["bound"]
-    family = settings["family"]
+    bound = str(settings["bound"])
+    family = str(settings["family"])
     if mode not in ("random", "exhaustive"):
         raise InvalidParameter("mode must be 'random' or 'exhaustive'")
     if bound not in ("reed", "eps", "delmin"):
@@ -444,34 +446,57 @@ def hunt(config: Mapping[str, object]) -> HuntReport:
         raise InvalidParameter("count must be non-negative")
     eps = settings["eps"]
     eps = Fraction(1, 2) if eps is None else exact_fraction(eps, "eps")
-
-    jobs: list[tuple[Digraph, Fraction, str, Optional[int]]] = []  # verify_instance args
+    if not 0 < eps < 1:
+        raise InvalidParameter("eps must satisfy 0 < eps < 1")
     if mode == "random":
-        master = random.Random(seed)
-        for i in range(count):
-            inst_seed = master.getrandbits(32)
-            p_digon = master.uniform(0.0, 0.45)
-            p_simple = master.uniform(0.0, 0.5)
-            d = random_digraph(n_max, p_digon, p_simple, seed=inst_seed)
-            jobs.append((d, eps, f"random-n{n_max}-{i:05d}", inst_seed))
-    else:
-        # the guards pass before any class is built, and one growth gives
-        # every level; level 0, the empty digraph, is not hunted
-        levels = _class_levels(n_max, str(family))
-        next(levels)
-        for n, classes in enumerate(levels, 1):
-            for i, d in enumerate(classes):
-                jobs.append((d, eps, f"{family}-n{n}-{i:05d}", None))
+        jobs = _random_jobs(n_max, count, seed, eps)
+    else:  # level 0, the empty digraph, is not hunted
+        levels = enumerate(_class_levels(n_max, family))
+        jobs = (
+            (d, eps, f"{family}-n{n}-{i:05d}", None)
+            for n, level in levels if n for i, d in enumerate(level)
+        )
+    return bound, eps, _verified(jobs, bound, _workers(), violations)
 
-    workers = _workers()
-    if workers > 1 and len(jobs) > 8:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = tuple(pool.map(verify_instance, *zip(*jobs), chunksize=8))
-    else:
-        records = tuple(verify_instance(*job) for job in jobs)
-    violations = tuple(
-        r.instance_id for r in records if not r.holds[str(bound)]
-    )
+
+def _random_jobs(n: int, count: int, seed: int, eps: Fraction) -> Iterator[tuple]:
+    master = random.Random(seed)
+    for i in range(count):
+        inst_seed = master.getrandbits(32)
+        p_digon, p_simple = master.uniform(0.0, 0.45), master.uniform(0.0, 0.5)
+        d = random_digraph(n, p_digon, p_simple, seed=inst_seed)
+        yield d, eps, f"random-n{n}-{i:05d}", inst_seed
+
+
+def _verified(
+    jobs: Iterator[tuple], bound: str, workers: int, violations: list[str]
+) -> Iterator[VerificationRecord]:
+    """verify_instance on each job, in order, on up to DICHROMA_THREADS
+    processes.  A pool pays off past 8 jobs and takes them all at once; one
+    worker draws each job when it is due."""
+    head = list(islice(jobs, 9)) if workers > 1 else []
+    pool = ProcessPoolExecutor(workers) if len(head) > 8 else None
+    try:
+        jobs = chain(head, jobs)
+        if pool is None:
+            records = starmap(verify_instance, jobs)
+        else:
+            records = pool.map(verify_instance, *zip(*jobs), chunksize=8)
+        for record in records:
+            if not record.holds[bound]:
+                violations.append(record.instance_id)
+            yield record
+    finally:  # a reader that stops early, at a closed pipe say, drops the jobs not begun
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     if violations:
         log.warning("%d violation(s) of the %s bound", len(violations), bound)
-    return HuntReport(bound=str(bound), eps=eps, records=records, violations=violations)
+
+
+def hunt(config: Mapping[str, object]) -> HuntReport:
+    """Every record of a campaign, in generation order on any number of
+    workers, and the ids whose chosen bound failed: hunt_records, collected."""
+    violations: list[str] = []
+    bound, eps, records = hunt_records(config, violations)
+    records = tuple(records)
+    return HuntReport(bound=bound, eps=eps, records=records, violations=tuple(violations))

@@ -252,16 +252,27 @@ def _search(
 
 
 def is_valid(d: Digraph, c: Dicolouring, require_total: bool = False) -> bool:
-    """True iff every colour class induces an acyclic subdigraph."""
+    """True iff every colour class induces an acyclic subdigraph: one Kahn
+    pass over the coloured vertices that keeps only arcs inside a class."""
     for v in c.assignment:
         if not 0 <= v < d.n:
             return False
     if require_total and not c.is_total(d.n):
         return False
-    classes: dict[int, list[int]] = {}
+    members: dict[int, int] = {}
     for v, colour in c.assignment.items():
-        classes.setdefault(colour, []).append(v)
-    return all(map(d.is_acyclic, classes.values()))
+        members[colour] = members.get(colour, 0) | 1 << v
+    same = {v: members[colour] for v, colour in c.assignment.items()}  # as masks
+    out, inn = d.masks
+    left = sum(members.values())  # the classes are disjoint
+    sources = [v for v in c.assignment if not inn[v] & same[v]]
+    while sources:
+        u = sources.pop()
+        left ^= 1 << u
+        for w in _bits(out[u] & same[u] & left):
+            if not inn[w] & same[w] & left:
+                sources.append(w)
+    return not left
 
 
 def _branch_order(d: Digraph) -> list[int]:

@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,8 +20,9 @@ from hypothesis import strategies as st
 import dichroma
 
 from dichroma.cli import main
-from dichroma.dgf import emit_dgf, parse_dgf
+from dichroma.dgf import emit_dgf, emit_json, parse_dgf
 from dichroma.digraph import complete_digraph, directed_cycle, obstruction
+from dichroma.harness import hunt
 
 
 @pytest.fixture()
@@ -576,6 +578,126 @@ def test_hunt_output_is_the_same_on_one_and_two_workers(capsys, monkeypatch, arg
         assert len(_RUNTIME.findall(out)) == len(json.loads(out)["records"]) > 8
         outputs.append(_RUNTIME.sub("", out))
     assert outputs[0] == outputs[1]
+
+
+_HUNT_STREAMS = {
+    "hunt --n-max 7 --count 30 --seed 8": {"n_max": 7, "count": 30, "seed": 8},
+    "hunt --n-max 6 --count 24 --seed 3 --bound eps --eps 1/3": {
+        "n_max": 6, "count": 24, "seed": 3, "bound": "eps", "eps": Fraction(1, 3)
+    },
+    "hunt --mode exhaustive --n-max 5": {"mode": "exhaustive", "n_max": 5},
+    "hunt --mode exhaustive --n-max 3 --family digraph": {
+        "mode": "exhaustive", "n_max": 3, "family": "digraph"
+    },
+    "hunt --count 0": {"count": 0},
+    "hunt --n-max 9 --count 466 --seed 12345 --bound delmin": {
+        "n_max": 9, "count": 466, "seed": 12345, "bound": "delmin"
+    },
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_HUNT_STREAMS))
+def test_hunt_stream_writes_emit_json_of_hunt(capsys, monkeypatch, argv) -> None:
+    for workers in ("1", "2"):
+        monkeypatch.setenv("DICHROMA_THREADS", workers)
+        code = main(argv.split())
+        out = capsys.readouterr().out
+        report = hunt(_HUNT_STREAMS[argv])
+        assert code == (1 if report.violations else 0)
+        assert _RUNTIME.sub("", out) == _RUNTIME.sub("", emit_json(report))
+        if "--count 466" in argv:
+            assert report.violations == ("random-n9-00465",)
+
+
+class _Discard:
+    def write(self, text: str) -> int:
+        return len(text)
+
+
+def test_hunt_peak_stays_flat_as_records_stream(monkeypatch) -> None:
+    """Records are written as they are verified, so a hunt holds one record
+    at a time, not all 400 and their rendering."""
+    monkeypatch.setenv("DICHROMA_THREADS", "1")
+    argv = ["hunt", "--n-max", "4", "--count", "400"]
+    with contextlib.redirect_stdout(_Discard()):
+        assert main(argv[:-1] + ["1"]) == 0  # parser and caches are built once per process
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**19
+
+
+_HUNT_ERRORS = {
+    "unknown-setting": ("hunt --colour red", None),
+    "bad-mode": ("hunt --mode sideways", None),
+    "bad-bound": ("hunt --bound chromatic", None),
+    "n-max-negative": ("hunt --n-max -1", None),
+    "n-max-past-cap": ("hunt --n-max 10", None),
+    "count-negative": ("hunt --count -1", None),
+    "eps-zero": ("hunt --eps 0", None),
+    "eps-zero-no-records": ("hunt --eps 0 --count 0", None),
+    "eps-one": ("hunt --eps 1", None),
+    "family-past-cap": ("hunt --mode exhaustive --n-max 6 --family digraph", None),
+    "threads-word": ("hunt --count 12 --n-max 3", "zero"),
+    "threads-zero": ("hunt --count 12 --n-max 3", "0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_HUNT_ERRORS))
+def test_hunt_errors_come_before_any_output(capsys, monkeypatch, case) -> None:
+    argv, threads = _HUNT_ERRORS[case]
+    if threads is not None:
+        monkeypatch.setenv("DICHROMA_THREADS", threads)
+    assert main(argv.split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _one_line(captured.err)["error"] == "InvalidParameter"
+
+
+# the largest n_max that keeps a call short, per mode and family
+_HUNT_SIZES = {("random", "tournament"): 9, ("random", "digraph"): 9, ("exhaustive", "tournament"): 6, ("exhaustive", "digraph"): 4}
+_HUNT_CAPS = {"random": 9, "tournament": 8, "digraph": 5}
+_CLASSES = {"tournament": [1, 1, 1, 2, 4, 12, 56], "digraph": [1, 1, 3, 16, 218]}  # classes on 0, 1, ... vertices
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(_HUNT_SIZES)), st.sampled_from([None, None, "n_max", "count", "eps", "text"]), st.data())
+def test_any_hunt_arguments_end_in_one_json_line(kind, broken, data) -> None:
+    """Random hunts draw at most 20 instances and exhaustive ones stop at 6
+    tournament or 4 digraph vertices; at most one argument is drawn out of
+    range (or, for eps, as any text)."""
+    mode, family = kind
+    cap = _HUNT_CAPS["random" if mode == "random" else family]
+    n_max = data.draw(st.integers(0, _HUNT_SIZES[kind]))
+    count = data.draw(st.integers(0, 20))
+    eps = str(data.draw(st.fractions(0, 1).filter(lambda e: 0 < e < 1)))
+    if broken == "n_max":
+        n_max = data.draw(st.integers(max_value=-1) | st.integers(min_value=cap + 1))
+    elif broken == "count":
+        count = data.draw(st.integers(max_value=-1))
+    elif broken == "eps":
+        eps = str(data.draw(st.fractions(max_value=0) | st.fractions(min_value=1)))
+    elif broken == "text":
+        eps = data.draw(st.text(max_size=8))
+    seed = data.draw(st.integers())
+    bound = data.draw(st.sampled_from(["reed", "eps", "delmin"]))
+    argv = ["hunt", "--mode", mode, "--family", family, "--n-max", str(n_max), "--count", str(count)]
+    argv += ["--seed", str(seed), "--bound", bound, f"--eps={eps}"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 2:
+        assert broken is not None
+        assert out.getvalue() == "" and isinstance(_one_line(err.getvalue()), dict)
+        return
+    assert code in (0, 1) and broken in (None, "text")
+    report = _one_line(out.getvalue())
+    assert (code == 1) == bool(report["violations"])
+    classes = _CLASSES[family][1 : n_max + 1]
+    assert len(report["records"]) == (count if mode == "random" else sum(classes))
 
 
 _BAD_ARGV = {

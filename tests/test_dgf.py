@@ -1,17 +1,20 @@
 """Digraph file format and JSON rendering."""
 
+import dataclasses
 import json
 import random
 import re
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dichroma.dgf import emit_dgf, emit_json, parse_dgf
+from dichroma.dgf import _plain, emit_dgf, emit_json, parse_dgf, write_json
 from dichroma.digraph import Digraph, random_digraph
 from dichroma.errors import ParseError
-from dichroma.harness import verify_instance
+from dichroma.harness import DelminRecord, verify_delmin, verify_instance
 
 from .oracles import dgf_outcome
 
@@ -170,3 +173,46 @@ def test_emit_json_digraph_and_sets() -> None:
     data = json.loads(emit_json({"d": Digraph(2, [(1, 0)]), "s": frozenset({3, 1})}))
     assert data["d"] == {"n": 2, "arcs": [[1, 0]]}
     assert data["s"] == [1, 3]
+
+
+def test_rendered_violated_is_read_off_holds() -> None:
+    rec = verify_instance(parse_dgf("n 3\n0 1\n1 2\n2 0\n"), Fraction(1, 2))
+    bounds = ("reed_bound_value", "eps_bound_value", "delmin_bound", "delmin_digon_bound")
+    for oks in product((True, False), repeat=len(bounds)):
+        fail = {name: rec.chi - (not ok) for name, ok in zip(bounds, oks)}
+        data = _plain(dataclasses.replace(rec, **fail))
+        failed = [name for name, ok in data["holds"].items() if not ok]
+        assert data["violated"] == failed == list(dataclasses.replace(rec, **fail).violated)
+        assert len(failed) == oks.count(False)
+
+
+def test_delmin_record_renders_holds_only() -> None:
+    rec = verify_delmin(parse_dgf("n 3\n0 1\n1 2\n2 0\n1 0\n"), Fraction(1, 3))
+    data = json.loads(emit_json(rec))
+    names = [f.name for f in dataclasses.fields(DelminRecord)]
+    assert sorted(data) == sorted(names + ["holds"])
+    assert data["holds"] == rec.holds
+    assert data["eps"] == "1/3" and data["chi"] == rec.chi == 2
+
+
+@pytest.mark.parametrize("key", ["a", "m", "z"])
+@pytest.mark.parametrize("items", [[], [7], [{"x": Fraction(1, 3)}, None, "s", [1, 2]]])
+def test_write_json_matches_emit_json(key: str, items: list) -> None:
+    record = {"b": Fraction(2, 3), "n": [1, {"c": 2}], key: iter(items)}
+    chunks: list[str] = []
+    write_json(chunks.append, record, key)
+    assert "".join(chunks) == emit_json({**record, key: items})
+    assert len(chunks) == len(items) + 2  # the head, one chunk per item, the tail
+
+
+def test_write_json_renders_later_fields_after_the_items() -> None:
+    seen: list[int] = []
+
+    def items():
+        for i in range(3):
+            seen.append(i)
+            yield i
+
+    chunks: list[str] = []
+    write_json(chunks.append, {"a": 0, "items": items(), "seen": seen}, "items")
+    assert "".join(chunks) == emit_json({"a": 0, "items": [0, 1, 2], "seen": [0, 1, 2]})

@@ -25,6 +25,7 @@ from dichroma.harness import (
     EXACT_CHI_CAP,
     delmin_reduction,
     hunt,
+    hunt_records,
     log_cubed_threshold,
     main_constants,
     nonisomorphic_digraphs,
@@ -285,9 +286,65 @@ def test_hunt_validation(monkeypatch) -> None:
         hunt({"folds": 3})
     with pytest.raises(InvalidParameter):
         hunt({"eps": 0.5})
+    for eps in (0, 1, Fraction(-1, 2), Fraction(3, 2)):
+        with pytest.raises(InvalidParameter):
+            hunt({"eps": eps, "count": 0})
+    with pytest.raises(InvalidParameter):
+        hunt({"mode": "exhaustive", "n_max": 6, "family": "digraph"})
     monkeypatch.setenv("DICHROMA_THREADS", "zero")
     with pytest.raises(InvalidParameter):
         hunt({"mode": "random", "n_max": 3, "count": 12})
     monkeypatch.setenv("DICHROMA_THREADS", "0")
     with pytest.raises(InvalidParameter):
         hunt({"mode": "random", "n_max": 3, "count": 12})
+
+
+def test_hunt_records_checks_first_then_draws_one_record_at_a_time(monkeypatch) -> None:
+    drawn = []
+    draw = harness.random_digraph
+    monkeypatch.setattr(harness, "random_digraph", lambda *a, **kw: drawn.append(1) or draw(*a, **kw))
+    monkeypatch.setenv("DICHROMA_THREADS", "1")
+    violations: list[str] = []
+    config = {"n_max": 9, "count": 466, "seed": 12345, "bound": "delmin"}
+    bound, eps, records = hunt_records(config, violations)
+    assert (bound, eps, drawn) == ("delmin", Fraction(1, 2), [])
+    for i, record in enumerate(records):
+        assert record.instance_id == f"random-n9-{i:05d}" and len(drawn) == i + 1
+        assert violations == ([] if i < 465 else [record.instance_id])
+    assert violations == ["random-n9-00465"] and len(drawn) == 466
+    monkeypatch.setenv("DICHROMA_THREADS", "zero")
+    with pytest.raises(InvalidParameter):
+        hunt_records(config, [])
+    assert len(drawn) == 466
+
+
+def test_hunt_records_grows_classes_as_they_are_read(monkeypatch) -> None:
+    keyed = []
+    key = harness.canonical_key
+    monkeypatch.setattr(harness, "canonical_key", lambda d: keyed.append(d.n) or key(d))
+    monkeypatch.setenv("DICHROMA_THREADS", "1")
+    _, _, records = hunt_records({"mode": "exhaustive", "n_max": 4}, [])
+    assert keyed == []
+    assert next(records).instance_id == "tournament-n1-00000" and keyed == [1]
+    assert len(list(records)) == 7 and keyed == [1] + [2] * 2 + [3] * 4 + [4] * 16
+
+
+def test_hunt_records_drops_pool_jobs_when_the_reader_stops(monkeypatch) -> None:
+    calls = []
+
+    class Pool:
+        def __init__(self, workers):
+            calls.append(("start", workers))
+
+        def map(self, fn, *iterables, chunksize):
+            return map(fn, *iterables)
+
+        def shutdown(self, **how):
+            calls.append(("shutdown", how))
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+    monkeypatch.setenv("DICHROMA_THREADS", "2")
+    _, _, records = hunt_records({"n_max": 4, "count": 20}, [])
+    assert next(records).instance_id == "random-n4-00000"
+    records.close()
+    assert calls == [("start", 2), ("shutdown", {"cancel_futures": True})]

@@ -57,6 +57,30 @@ def test_is_valid_examples() -> None:
     assert not is_valid(c3, Dicolouring(2, {0: 0, 1: 0}), require_total=True)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 9).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.integers(0, 2**32),
+            st.floats(0, 0.45),
+            st.floats(0, 0.5),
+            st.lists(st.none() | st.integers(0, 2), min_size=n, max_size=n),
+        )
+    ),
+    st.booleans(),
+)
+def test_is_valid_matches_the_oracle(case, total: bool) -> None:
+    n, seed, p_digon, p_simple, colours = case
+    d = random_digraph(n, p_digon, p_simple, seed=seed)
+    c = Dicolouring(3, {v: k for v, k in enumerate(colours) if k is not None})
+    classes = [[v for v, k in c.assignment.items() if k == colour] for colour in range(3)]
+    expect = all(acyclic(n, d.arcs, part) for part in classes)
+    if total and len(c.assignment) < n:
+        expect = False
+    assert is_valid(d, c, require_total=total) == expect
+
+
 def test_worked_chromatic_values() -> None:
     assert dichromatic_number(Digraph(0, [])) == 0
     assert dichromatic_number(Digraph(3, [])) == 1
@@ -252,6 +276,12 @@ def test_witness_self_check(monkeypatch) -> None:
         k_dicolourable(c3, 2)
     with pytest.raises(InternalInconsistency):
         list_dicolourable(c3, {v: frozenset({0, 1}) for v in range(3)})
+    # one class of a 2-colouring of C3 + C3 holds the second triangle
+    two = Digraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    split = [{0: 0, 1: 0, 2: 1, 3: 1, 4: 1, 5: 1}]
+    monkeypatch.setattr(solver, "_search", lambda *args, **kw: iter(split))
+    with pytest.raises(InternalInconsistency):
+        k_dicolourable(two, 2)
 
 
 def _biclique_k32() -> Digraph:
