@@ -12,7 +12,6 @@ from .asr import (
     TransversalOutcome,
     acyclic_hitting_set,
     biclique_transversal,
-    brute_transversal_oracle,
     find_asr,
     is_good_triplet,
     list_dicolour_asr,

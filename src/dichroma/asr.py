@@ -19,9 +19,9 @@ bicliques, hits intersecting families through acyclic_hitting_set, and on a
 family with empty intersection finds the chain of half-size bicliques
 Q_1..Q_n.  A closed chain is the product digraph exactly when sending Q_i to
 block i maps the arcs onto the product's; an open chain is contracted and the
-recursive answer lifted back.  Every structural step is validated; a failed
-validation falls back to the exhaustive oracle on small instances and is a
-hard error otherwise.
+recursive answer lifted back.  Every structural step and every answer is
+validated, and a failed validation is an InternalInconsistency that names its
+step, at every size.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from typing import Iterator, Optional, Sequence
 
 from .digraph import Digraph, _arc_list, _bits, obstruction
 from .errors import (
-    InstanceTooLarge,
     InternalInconsistency,
     InvalidParameter,
     MissingList,
@@ -40,7 +39,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .params import biclique_number, biclique_report, degree_profile
-from .solver import Dicolouring, ListAssignment, _closes_cycle, _search, is_valid
+from .solver import Dicolouring, ListAssignment, _search, _spread, is_valid
 
 
 @dataclass(frozen=True)
@@ -124,10 +123,6 @@ class TransversalOutcome:
                 raise InvalidParameter("shape must be an odd cycle length >= 5")
             if self.isomorphism is None:
                 raise InvalidParameter("shape outcome requires its isomorphism")
-
-
-class _StructureMismatch(Exception):
-    """A validated structural step failed; try the fallback oracle."""
 
 
 def _transversal_search(
@@ -239,7 +234,7 @@ def _covering_sets(d: Digraph, pool: Sequence[int], x1: int, y: set[int]) -> Ite
             return
         v = pool[i]
         hits = out[v] & y_mask
-        if hits and not hits & covered and not _closes_cycle(out, inn, x, v):
+        if hits and not hits & covered and not _spread(out, x, v) & inn[v] & x:
             yield from walk(i + 1, x | 1 << v, covered | hits)
         yield from walk(i + 1, x, covered)
 
@@ -326,26 +321,13 @@ def acyclic_hitting_set(
     return result
 
 
-def brute_transversal_oracle(d: Digraph) -> Optional[frozenset[int]]:
-    """Smallest acyclic set meeting every maximum biclique, by enumeration."""
-    if d.n > 14:
-        raise InstanceTooLarge("oracle is exhaustive; 14 vertices at most")
-    maxima = biclique_report(d).maximum_bicliques
-    for size in range(d.n + 1):
-        for combo in combinations(range(d.n), size):
-            s = frozenset(combo)
-            if all(s & b for b in maxima) and d.is_acyclic(s):
-                return s
-    return None
-
-
 def biclique_transversal(d: Digraph, delta: int) -> TransversalOutcome:
     """Drop the biclique number of a connected digraph by exactly one.
 
     Requires max degree at most delta and 3 * biclique number >= 2 * (delta
     + 1).  Returns the acyclic hitting set, or the odd product shape with an
-    isomorphism.  Structural failures fall back to the exhaustive oracle on
-    at most 14 vertices and are hard errors beyond that.
+    isomorphism.  A structural step that fails its check raises
+    InternalInconsistency naming the step, at every size.
     """
     profile = degree_profile(d)
     if profile.delta_max > delta:
@@ -356,12 +338,9 @@ def biclique_transversal(d: Digraph, delta: int) -> TransversalOutcome:
         raise PreconditionViolated("biclique number below two thirds of delta+1")
     if not d.is_connected():
         raise PreconditionViolated("digraph must be connected")
-    try:
-        outcome = _transversal_structural(d, delta, rep)
-        _validate_outcome(d, omega, outcome)
-        return outcome
-    except _StructureMismatch as exc:
-        return _transversal_fallback(d, omega, exc)
+    outcome = _transversal_structural(d, delta, rep)
+    _validate_outcome(d, omega, outcome)
+    return outcome
 
 
 def _validate_outcome(d: Digraph, omega: int, outcome: TransversalOutcome) -> None:
@@ -369,36 +348,10 @@ def _validate_outcome(d: Digraph, omega: int, outcome: TransversalOutcome) -> No
         return  # _product_isomorphism compared every arc with the product
     hit = outcome.hitting_set
     if not d.is_acyclic(hit):
-        raise _StructureMismatch("hitting set is not acyclic")
+        raise InternalInconsistency("hitting set is not acyclic")
     remaining, _ = d.remove_vertices(hit)
     if biclique_number(remaining) != omega - 1:
-        raise _StructureMismatch("biclique number did not drop by one")
-
-
-def _transversal_fallback(d: Digraph, omega: int, cause: Exception) -> TransversalOutcome:
-    if d.n > 14:
-        raise InternalInconsistency(
-            "structural recursion failed beyond oracle reach"
-        ) from cause
-    hit = brute_transversal_oracle(d)
-    if hit is not None:
-        outcome = TransversalOutcome(hitting_set=hit)
-        try:
-            _validate_outcome(d, omega, outcome)
-        except _StructureMismatch as exc:
-            raise InternalInconsistency("oracle set failed validation") from exc
-        return outcome
-    try:  # the product's maximum bicliques form one closed chain
-        family = biclique_report(d).components[0]
-        q_parts, cyclic = _chain_partition(family, omega // 2)
-        shape = _handle_cycle_chain(d, q_parts) if cyclic else None
-    except _StructureMismatch:
-        shape = None
-    if shape is not None and shape.obstruction is not None:
-        return shape
-    raise InternalInconsistency(
-        "no transversal exists yet the shape is not the known product"
-    ) from cause
+        raise InternalInconsistency("biclique number did not drop by one")
 
 
 def _transversal_structural(d, delta, rep) -> TransversalOutcome:
@@ -412,7 +365,7 @@ def _transversal_structural(d, delta, rep) -> TransversalOutcome:
         return _hit_intersections(d, delta, rep.components)
     component = empties[0]
     if 3 * omega != 2 * (delta + 1) or omega % 2:
-        raise _StructureMismatch("empty intersection off the tight regime")
+        raise InternalInconsistency("empty intersection off the tight regime")
     q_parts, cyclic = _chain_partition(component, omega // 2)
     if cyclic:
         return _handle_cycle_chain(d, q_parts)
@@ -448,7 +401,7 @@ def _hit_intersections(d, delta, components) -> TransversalOutcome:
     try:
         hit = acyclic_hitting_set(sub, parts, k)
     except PreconditionViolated as exc:
-        raise _StructureMismatch(str(exc)) from exc
+        raise InternalInconsistency(str(exc)) from exc
     return TransversalOutcome(
         hitting_set=frozenset(inverse[v] for v in hit)
     )
@@ -462,7 +415,7 @@ def _chain_partition(
     cliques = sorted(component, key=sorted)
     m = len(cliques)
     if m < 3:
-        raise _StructureMismatch("chain needs at least three bicliques")
+        raise InternalInconsistency("chain needs at least three bicliques")
     neighbours = [
         [j for j in range(m) if j != i and cliques[i] & cliques[j]]
         for i in range(m)
@@ -475,14 +428,14 @@ def _chain_partition(
         cyclic = False
         start = min(i for i in range(m) if len(neighbours[i]) == 1)
     else:
-        raise _StructureMismatch("family is neither a chain nor a closed chain")
+        raise InternalInconsistency("family is neither a chain nor a closed chain")
 
     order = [start]
     seen = {start}
     while len(order) < m:
         step = [j for j in neighbours[order[-1]] if j not in seen]
         if not step:
-            raise _StructureMismatch("chain walk stalled")
+            raise InternalInconsistency("chain walk stalled")
         order.append(min(step))
         seen.add(order[-1])
     walk = [cliques[i] for i in order]
@@ -496,15 +449,15 @@ def _chain_partition(
 
     union = frozenset().union(*walk)
     if any(len(part) != p for part in q):
-        raise _StructureMismatch("parts are not half-sized")
+        raise InternalInconsistency("parts are not half-sized")
     if sum(len(part) for part in q) != len(union):
-        raise _StructureMismatch("parts do not partition the union")
+        raise InternalInconsistency("parts do not partition the union")
     n = len(q)
     for i, c in enumerate(walk):
         left = q[(i - 1) % n] if cyclic else q[i]
         right = q[i % n] if cyclic else q[i + 1]
         if c != left | right:
-            raise _StructureMismatch("a biclique is not a consecutive union")
+            raise InternalInconsistency("a biclique is not a consecutive union")
     return q, cyclic
 
 
@@ -531,7 +484,7 @@ def _handle_cycle_chain(d, q_parts) -> TransversalOutcome:
     n, p = len(q_parts), len(q_parts[0])
     iso = _product_isomorphism(d, q_parts)
     if iso is None:
-        raise _StructureMismatch("closed chain is not the product digraph")
+        raise InternalInconsistency("closed chain is not the product digraph")
     if n % 2 == 1:
         return TransversalOutcome(obstruction=(n, p), isomorphism=iso)
     hit = frozenset(min(q_parts[i]) for i in range(0, n, 2))
@@ -550,24 +503,24 @@ def _handle_path_chain(d, delta, q_parts, p) -> TransversalOutcome:
     ]
     d_prime = shrunk.add_arcs(extra + [(b, a) for a, b in extra])
     if not d_prime.is_connected():
-        raise _StructureMismatch("contracted digraph is disconnected")
+        raise InternalInconsistency("contracted digraph is disconnected")
     if degree_profile(d_prime).delta_max > delta:
-        raise _StructureMismatch("contracted digraph exceeds delta")
+        raise InternalInconsistency("contracted digraph exceeds delta")
     omega = 2 * p
     if biclique_number(d_prime) != omega:
-        raise _StructureMismatch("contraction changed the biclique number")
+        raise InternalInconsistency("contraction changed the biclique number")
 
     outcome = biclique_transversal(d_prime, delta)
     if outcome.obstruction is not None:
         # were d the product, its maximum bicliques would close a chain and
         # _handle_cycle_chain would have run; so d has a transversal that
-        # this lift cannot build, and only the fallback can answer
-        raise _StructureMismatch("contraction is the product, d is not")
+        # this lift cannot build.  No input is known to reach this step
+        raise InternalInconsistency("contraction is the product, d is not")
 
     lifted = frozenset(inverse[v] for v in outcome.hitting_set)
     ends = lifted & (q_parts[0] | q_parts[-1])
     if len(ends) != 1:
-        raise _StructureMismatch("lifted set misses the merged biclique")
+        raise InternalInconsistency("lifted set misses the merged biclique")
     if ends <= q_parts[-1]:
         q_parts = list(reversed(q_parts))
     if n % 2 == 0:

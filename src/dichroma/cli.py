@@ -48,7 +48,14 @@ def _read_digraph(path: str) -> Digraph:
 
 
 def _fraction(text: str) -> Fraction:
+    limit = sys.get_int_max_str_digits()
     try:
+        # each term has at most the mantissa's digits plus |exponent| digits;
+        # refuse it before 10 ** exponent is built if it could not be written
+        mantissa, e, exponent = text.lower().partition("e")
+        digits = sum(c.isdigit() for c in mantissa) + (abs(int(exponent)) if e else 0)
+        if limit and digits > limit:
+            raise InvalidParameter(f"fraction {text[:20]!r} spells more than {limit} digits")
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InvalidParameter(f"expected a fraction like 2/3, got {text!r}")

@@ -78,24 +78,6 @@ ListAssignment = Mapping[int, frozenset[int]]
 """Per-vertex colour lists; a k-list assignment gives every vertex >= k colours."""
 
 
-def _closes_cycle(out: Sequence[int], inn: Sequence[int], cls: int, v: int) -> bool:
-    """Would adding v to the class mask cls close a cycle inside it?  True iff
-    a walk inside cls from N+(v) meets N-(v) (a digon is the length-0 case)."""
-    targets = inn[v] & cls
-    frontier = seen = out[v] & cls
-    while frontier:
-        if frontier & targets:
-            return True
-        step = 0
-        while frontier:
-            low = frontier & -frontier
-            step |= out[low.bit_length() - 1]
-            frontier ^= low
-        frontier = step & cls & ~seen
-        seen |= frontier
-    return False
-
-
 def _spread(adj: Sequence[int], cls: int, v: int) -> int:
     """The union of adj[u] over every u that v reaches along adj inside cls."""
     union = 0
@@ -161,7 +143,7 @@ def _search(
             low = rest & -rest
             rest ^= low
             v = low.bit_length() - 1
-            if inn[v] & cls and _closes_cycle(out, inn, cls, v):
+            if inn[v] & cls and _spread(out, cls, v) & inn[v] & cls:
                 live ^= low << i * span
                 rank[step_of[v]] -= m
     if not steps:

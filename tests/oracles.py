@@ -207,9 +207,23 @@ def least_biclique_transversal(n: int, arcs) -> Optional[frozenset[int]]:
     """A least acyclic vertex set meeting every maximum biclique, or None
     when no acyclic set meets them all."""
     maxima = maximum_bicliques(n, arcs)
+    succ = [set() for _ in range(n)]
+    for u, v in arcs:
+        succ[u].add(v)
+
+    def peels_to_nothing(vertices: set[int]) -> bool:
+        # a set is acyclic exactly when removing sinks, one after another,
+        # empties it
+        while vertices:
+            sinks = {v for v in vertices if not succ[v] & vertices}
+            if not sinks:
+                return False
+            vertices -= sinks
+        return True
+
     for size in range(n + 1):
         for combo in combinations(range(n), size):
-            if all(b.intersection(combo) for b in maxima) and acyclic(n, arcs, combo):
+            if all(b.intersection(combo) for b in maxima) and peels_to_nothing(set(combo)):
                 return frozenset(combo)
     return None
 

@@ -4,16 +4,16 @@ import random
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dichroma.asr import (
     ASRInstance,
     _product_isomorphism,
-    _transversal_fallback,
     GoodTriplet,
     TransversalOutcome,
     acyclic_hitting_set,
     biclique_transversal,
-    brute_transversal_oracle,
     find_asr,
     is_good_triplet,
     list_dicolour_asr,
@@ -29,6 +29,8 @@ from dichroma.digraph import (
 from dichroma.errors import InvalidParameter, NoASR, PreconditionViolated
 from dichroma.params import biclique_report, degree_profile
 from dichroma.solver import is_valid
+
+from .oracles import acyclic, cycle_blowup_arcs, least_biclique_transversal, maximum_bicliques
 
 
 def test_instance_validation() -> None:
@@ -190,22 +192,24 @@ def test_outcome_variant_exclusivity() -> None:
 
 
 def _check_hitting(d: Digraph, outcome: TransversalOutcome) -> None:
+    """The hitting set is acyclic, meets every maximum biclique and drops
+    the biclique number by one, all read off the oracles."""
     hit = outcome.hitting_set
     assert hit is not None
-    assert d.is_acyclic(hit)
-    rep = biclique_report(d)
-    assert all(hit & b for b in rep.maximum_bicliques)
-    remaining, _ = d.remove_vertices(hit)
-    assert biclique_report(remaining).omega_bi == rep.omega_bi - 1
+    arcs = sorted(d.arcs)
+    maxima = maximum_bicliques(d.n, arcs)
+    assert acyclic(d.n, arcs, hit)
+    assert all(hit & b for b in maxima)
+    rest = [v for v in range(d.n) if v not in hit]
+    assert max(map(len, maximum_bicliques(d.n, arcs, rest)), default=0) == len(maxima[0]) - 1
 
 
 def _check_shape(d: Digraph, outcome: TransversalOutcome) -> None:
     assert outcome.obstruction is not None
     n_cycle, p = outcome.obstruction
     iso = outcome.isomorphism
-    assert iso is not None
-    target = obstruction(n_cycle, p)
-    assert {(iso[u], iso[v]) for u, v in d.arcs} == set(target.arcs)
+    assert iso is not None and sorted(iso.values()) == list(range(d.n))
+    assert {(iso[u], iso[v]) for u, v in d.arcs} == cycle_blowup_arcs(n_cycle, p)
 
 
 def test_transversal_worked_examples() -> None:
@@ -222,7 +226,7 @@ def test_transversal_product_shapes() -> None:
         outcome = biclique_transversal(d, delta)
         assert outcome.obstruction == (n_cycle, p)
         _check_shape(d, outcome)
-        assert brute_transversal_oracle(d) is None
+        assert least_biclique_transversal(d.n, d.arcs) is None
 
 
 def test_transversal_preconditions() -> None:
@@ -255,7 +259,7 @@ def test_transversal_matches_oracle_sweep() -> None:
             continue
         checked += 1
         outcome = biclique_transversal(d, delta)
-        want = brute_transversal_oracle(d)
+        want = least_biclique_transversal(d.n, d.arcs)
         if want is None:
             _check_shape(d, outcome)
         else:
@@ -306,9 +310,37 @@ def test_product_isomorphism_rejects_near_products() -> None:
     assert _product_isomorphism(d, swapped) is None
 
 
-@pytest.mark.parametrize("n_cycle", [5, 7])
-def test_fallback_names_the_relabelled_product(n_cycle: int) -> None:
-    d = _relabelled(obstruction(n_cycle, 1), n_cycle)
-    outcome = _transversal_fallback(d, 2, ValueError("forced"))
-    assert outcome.obstruction == (n_cycle, 1)
-    _check_shape(d, outcome)
+def _path_blowup_arcs(n_path: int, p: int) -> set[tuple[int, int]]:
+    """Arcs of P_n[K_p]: C_n[K_p] without the digons between the end parts."""
+    ends = {0, n_path - 1}
+    return {(u, v) for u, v in cycle_blowup_arcs(n_path, p) if {u // p, v // p} != ends}
+
+
+@st.composite
+def _perturbed_products(draw):
+    """An open or closed C_n[K_p] on at most 12 vertices with up to three
+    arcs removed and two added."""
+    p = draw(st.integers(1, 3))
+    n_blocks = draw(st.integers(3, min(7, 12 // p)))
+    build = cycle_blowup_arcs if draw(st.booleans()) else _path_blowup_arcs
+    arcs = build(n_blocks, p)
+    size = n_blocks * p
+    for arc in draw(st.lists(st.sampled_from(sorted(arcs)), max_size=3)):
+        arcs.discard(arc)
+    pair = st.tuples(st.integers(0, size - 1), st.integers(0, size - 1))
+    arcs |= {(u, v) for u, v in draw(st.lists(pair, max_size=2)) if u != v}
+    return Digraph(size, sorted(arcs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_perturbed_products())
+def test_perturbed_products_agree_with_the_oracle(d: Digraph) -> None:
+    """Every structural step holds on connected inputs in the regime near
+    the products, where the open and closed chains of bicliques arise."""
+    delta = degree_profile(d).delta_max
+    assume(d.is_connected() and 3 * biclique_report(d).omega_bi >= 2 * (delta + 1))
+    outcome = biclique_transversal(d, delta)
+    if least_biclique_transversal(d.n, d.arcs) is None:
+        _check_shape(d, outcome)
+    else:
+        _check_hitting(d, outcome)

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -324,13 +325,13 @@ def _dgf_text(n: int):
 def _one_json_line(argv) -> None:
     """main(argv) exits 0 with one JSON line on stdout, 1 (check only, a
     violated bound) with one JSON line on stdout, or 2 with one JSON error
-    line on stderr that is never InternalError."""
+    line on stderr that is never InternalError or InternalInconsistency."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     if code == 2:
         assert out.getvalue() == "" and err.getvalue().count("\n") == 1
-        assert json.loads(err.getvalue())["error"] != "InternalError"
+        assert json.loads(err.getvalue())["error"] not in ("InternalError", "InternalInconsistency")
         return
     assert code == 0 or (code == 1 and argv[0] == "check")
     assert out.getvalue().count("\n") == 1
@@ -433,6 +434,64 @@ def test_any_int_parts_end_in_one_json_line(parts, extra: list[int], k: int) -> 
         with open(path, "w", encoding="ascii") as handle:
             json.dump(parts, handle)
         _ends_in_one_json_line(text, [("asr", "--parts", path, "--k", str(k))])
+
+
+# products C_n[K_p] open and closed, in the regime at delta = Delta_max, and
+# small files outside it
+_TRANSVERSAL_FUZZ_FILES = [
+    emit_dgf(obstruction(5, 1)),
+    emit_dgf(obstruction(5, 2)),
+    emit_dgf(obstruction(6, 2)),
+    emit_dgf(obstruction(5, 2).remove_vertices(range(8, 10))[0]),
+    emit_dgf(complete_digraph(4)),
+    "n 0\n",
+    "n 1\n",
+    "n 3\n0 1\n1 2\n2 0\n",
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_TRANSVERSAL_FUZZ_FILES), _ANY_INT)
+def test_any_transversal_delta_ends_in_one_json_line(text: str, delta: int) -> None:
+    _ends_in_one_json_line(text, [("transversal", "--delta", str(delta))])
+
+
+# any text, fractions, and exponents of any size: 1e-10000000 once took 8 s
+_FRACTION_TEXT = st.one_of(
+    st.text(max_size=12),
+    st.fractions().map(str),
+    st.builds("{}e{}".format, st.integers(-9, 9), st.integers(-9, 9) | st.integers()),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_FRACTION_TEXT, _FRACTION_TEXT, st.sampled_from(["reed", "eps", "delmin"]))
+def test_any_fraction_text_ends_in_one_json_line(a: str, eps: str, bound: str) -> None:
+    text = "n 3\n0 1\n1 2\n2 0\n"
+    dense = ("dense", f"--a={a}", f"--eps={eps}")
+    _ends_in_one_json_line(text, [("check", "--bound", bound, f"--eps={eps}"), dense])
+
+
+@pytest.mark.parametrize("argv", [
+    "hunt --count 1 --n-max 3 --eps 1e-10000000",
+    "check {triangle} --eps 1e-10000000",
+    "check {triangle} --eps 0.{zeros}1",
+    "dense {triangle} --a 1e-10000000 --eps 1/2",
+    "dense {triangle} --a 1/600 --eps 1e+10000000",
+])
+def test_fractions_past_the_digit_limit_exit_2(capsys, triangle, argv) -> None:
+    zeros = "0" * sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, out, err = _run(capsys, argv.format(triangle=triangle, zeros=zeros).split())
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out is None
+    assert err["error"] == "InvalidParameter" and "digits" in err["message"]
+
+
+def test_fraction_at_the_digit_limit_is_read(capsys, triangle) -> None:
+    limit = sys.get_int_max_str_digits()
+    code, out, _ = _run(capsys, ["check", triangle, f"--eps=1e-{limit - 1}"])
+    assert code == 0 and Fraction(out["eps"]) == Fraction(1, 10 ** (limit - 1))
 
 
 def test_params_peak_on_a_big_sparse_file(tmp_path) -> None:
