@@ -10,7 +10,7 @@ Hitting every maximum biclique, or naming the obstruction
 # possible, with exactly one family of exceptions: the bidirected
 # product of an odd cycle with a complete graph.
 from dichroma.asr import biclique_transversal
-from dichroma.digraph import Digraph, complete_digraph, obstruction, symmetric_closure, Graph
+from dichroma.digraph import Digraph, complete_digraph, obstruction, symmetric_closure
 from dichroma.params import biclique_report, degree_profile
 
 # In the bidirected K4 every 3-subset is close to maximum; a single
@@ -40,7 +40,7 @@ print("even cycle product hitting set:", sorted(out.hitting_set))
 
 # Two triangles joined through a path: every answer is checked before it is
 # returned, so the set is acyclic and really drops the biclique number.
-g = symmetric_closure(Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]))
+g = symmetric_closure(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
 out = biclique_transversal(g, degree_profile(g).delta_max)
 rest = g.induced(frozenset(range(6)) - out.hitting_set)[0]
 print("two triangles joined by a path:")

@@ -30,7 +30,6 @@ from .dense import (
 from .dgf import emit_dgf, emit_json, parse_dgf, write_json
 from .digraph import (
     Digraph,
-    Graph,
     complete_digraph,
     directed_cycle,
     obstruction,

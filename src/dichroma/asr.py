@@ -373,13 +373,10 @@ def _transversal_structural(d, delta, rep) -> TransversalOutcome:
 
 
 def _strip_and_recurse(d, delta, covered) -> TransversalOutcome:
-    sub, relabel = d.induced(covered)
-    inverse = {new: old for old, new in relabel.items()}
     hit: set[int] = set()
-    for comp in sub.underlying_graph().connected_components():
-        comp_d = frozenset(inverse[v] for v in comp)
-        piece, relab = d.induced(comp_d)
-        inv = {new: old for old, new in relab.items()}
+    for comp in d.components(sum(1 << v for v in covered)):
+        keep = list(_bits(comp))  # induced numbers the piece in this order
+        piece, _ = d.induced(keep)
         outcome = biclique_transversal(piece, delta)
         if outcome.hitting_set is None:
             # a diregular product component would leave no degree room for
@@ -387,7 +384,7 @@ def _strip_and_recurse(d, delta, covered) -> TransversalOutcome:
             raise InternalInconsistency(
                 "product shape arose on a proper stripped component"
             )
-        hit |= {inv[v] for v in outcome.hitting_set}
+        hit.update(keep[v] for v in outcome.hitting_set)
     return TransversalOutcome(hitting_set=frozenset(hit))
 
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Optional
 
-from .digraph import Digraph, Graph, _arc_list, _bits
+from .digraph import Digraph, _arc_list, _bits, symmetric_closure
 from .errors import (
     InternalInconsistency,
     InvalidParameter,
@@ -28,7 +28,7 @@ from .errors import (
     NotDense,
     PreconditionViolated,
 )
-from .exactmath import exact_fraction
+from .exactmath import ceil_sqrt, exact_fraction
 from .matching import maximum_matching
 from .params import biclique_number, degree_profile, density_report
 from .solver import (
@@ -146,7 +146,7 @@ def _complement_matching(
         for u, w in combinations(vertices, 2)
         if not d.has_digon(u, w)
     ]
-    matching = maximum_matching(Graph(len(vertices), edges))
+    matching = maximum_matching(symmetric_closure(len(vertices), edges))
     covered = set().union(*matching) if matching else set()
     exposed = frozenset(u for u in vertices if index[u] not in covered)
     for u, w in combinations(sorted(exposed), 2):
@@ -226,27 +226,14 @@ def _colour_core(
 
 
 def delta_threshold(a) -> int:
-    """Least integer at or above max((1-a)/(sqrt(a)-a), (1-a)/a)."""
+    """Least integer at or above max((1-a)/(sqrt(a)-a), (1-a)/a).
+
+    As 1 - a = (1 - sqrt(a))(1 + sqrt(a)), the first term is 1 + 1/sqrt(a)
+    and the second 1/a - 1; with c = ceil(1/a), ceil(1/sqrt(a)) is the least
+    t with t^2 >= c, since t^2 is an integer."""
     a = _check_density_parameter(a)
-    p, q = a.numerator, a.denominator
-    second = -((a - 1) // a)  # ceil((1-a)/a)
-
-    def reaches(t: int) -> bool:
-        # t >= (q-p)/(sqrt(pq)-p), all quantities positive
-        rhs = q - p + t * p
-        return t * t * p * q >= rhs * rhs
-
-    t = 1
-    while not reaches(t):
-        t *= 2
-    lo, hi = t // 2, t
-    while lo + 1 < hi:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid
-    return max(hi, int(second))
+    c = -(-a.denominator // a.numerator)
+    return max(1 + ceil_sqrt(c), c - 1)
 
 
 @dataclass(frozen=True)

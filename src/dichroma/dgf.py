@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from . import digraph
-from .digraph import Digraph, Graph
+from .digraph import Digraph
 from .errors import InstanceTooLarge, ParseError
 from .solver import Dicolouring
 
@@ -119,11 +119,6 @@ def _plain(obj):
         return str(obj)
     if isinstance(obj, Digraph):
         return {"n": obj.n, "arcs": [list(a) for a in digraph._arc_list(obj.masks[0])]}
-    if isinstance(obj, Graph):
-        return {
-            "n": obj.n,
-            "edges": sorted(sorted(e) for e in obj.edges),
-        }
     if isinstance(obj, Dicolouring):
         return {
             "k": obj.k,

@@ -1,10 +1,11 @@
-"""Immutable digraphs and graphs on vertex set {0, ..., n-1}.
+"""Immutable digraphs on vertex set {0, ..., n-1}.
 
 A digraph here is loopless and simple: at most one arc u -> v for each ordered
 pair.  A digon is a pair of opposite arcs u -> v and v -> u; it counts as a
-directed cycle of length two throughout the package.  The symmetric part S(D)
-is the graph of digons, the underlying graph UG(D) the graph of all adjacent
-pairs.
+directed cycle of length two throughout the package.  A graph is the
+bidirected digraph whose digons are its edges (``symmetric_closure``), so the
+digon graph S(D) and the underlying graph UG(D) are read off the masks as
+``out & in`` and ``out | in`` rather than stored as types of their own.
 
 Instances are immutable after construction: the constructor stores only the
 int-bitmask adjacency ``Digraph.masks``, every neighbourhood is read off it,
@@ -25,56 +26,6 @@ MAX_VERTICES = 1 << 15
 
 MAX_ARCS = 1 << 21
 """Most arcs a Digraph reads, duplicates included; bidirected K_1010 fits."""
-
-
-class Graph:
-    """Undirected simple graph; edges are frozensets of size two."""
-
-    __slots__ = ("n", "edges", "adj")
-
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        if n < 0:
-            raise InvalidParameter("vertex count must be non-negative")
-        adj = [set() for _ in range(n)]
-        edge_set = set()
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise InvalidVertex(f"edge endpoint out of range: {(u, v)}")
-            if u == v:
-                raise SelfLoop(f"loop at vertex {u}")
-            edge_set.add(frozenset((u, v)))
-            adj[u].add(v)
-            adj[v].add(u)
-        self.n = n
-        self.edges = frozenset(edge_set)
-        self.adj = tuple(frozenset(a) for a in adj)
-
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return hash((self.n, self.edges))
-
-    def __repr__(self):
-        return f"Graph(n={self.n}, m={len(self.edges)})"
-
-    def connected_components(self) -> list[frozenset[int]]:
-        seen = [False] * self.n
-        comps = []
-        for s in range(self.n):
-            if seen[s]:
-                continue
-            stack, comp = [s], set()
-            seen[s] = True
-            while stack:
-                u = stack.pop()
-                comp.add(u)
-                for w in self.adj[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        stack.append(w)
-            comps.append(frozenset(comp))
-        return comps
 
 
 class Digraph:
@@ -145,12 +96,6 @@ class Digraph:
     def reverse(self) -> "Digraph":
         return Digraph(self.n, _arc_list(self.masks[1]))
 
-    def symmetric_part(self) -> Graph:
-        return Graph(self.n, ((u, v) for u, v in _arc_list(map(int.__and__, *self.masks)) if u < v))
-
-    def underlying_graph(self) -> Graph:
-        return Graph(self.n, ((u, v) for u, v in _arc_list(map(int.__or__, *self.masks)) if u < v))
-
     def induced(self, vertices: Iterable[int]) -> tuple["Digraph", dict[int, int]]:
         """Induced subdigraph plus the old -> new vertex relabelling map."""
         keep = sorted(set(vertices))
@@ -188,17 +133,30 @@ class Digraph:
                     sources.append(w)
         return not left
 
-    def is_connected(self) -> bool:
-        """Weak connectivity (of the underlying graph); empty digraph counts as connected."""
+    def components(self, inside: Optional[int] = None) -> list[int]:
+        """Vertex masks of the weak components of the subdigraph induced on
+        the vertex mask ``inside`` (all vertices by default), by least vertex."""
         out, inn = self.masks
-        seen = frontier = 1 if self.n else 0
-        while frontier:
-            reach = 0
-            for u in _bits(frontier):
-                reach |= out[u] | inn[u]
-            frontier = reach & ~seen
-            seen |= frontier
-        return seen == (1 << self.n) - 1
+        left = (1 << self.n) - 1 if inside is None else inside
+        if left >> self.n:  # a negative mask too
+            raise InvalidVertex("vertex mask reaches outside the digraph")
+        comps = []
+        while left:
+            comp = frontier = left & -left
+            left ^= comp
+            while frontier:
+                reach = 0
+                for u in _bits(frontier):
+                    reach |= out[u] | inn[u]
+                frontier = reach & left
+                left ^= frontier
+                comp |= frontier
+            comps.append(comp)
+        return comps
+
+    def is_connected(self) -> bool:
+        """Weak connectivity; the empty digraph counts as connected."""
+        return len(self.components()) < 2
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -227,14 +185,10 @@ def _arc_list(out: Iterable[int]) -> list[tuple[int, int]]:
 # -- constructors -------------------------------------------------------
 
 
-def symmetric_closure(g: Graph) -> Digraph:
-    """Replace every edge of ``g`` by a digon (the bidirected digraph of g)."""
-    arcs = []
-    for e in g.edges:
-        u, v = tuple(e)
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return Digraph(g.n, arcs)
+def symmetric_closure(n: int, edges: Iterable[tuple[int, int]]) -> Digraph:
+    """The bidirected digraph of the graph on n vertices with these edges:
+    each edge u v becomes the digon u -> v, v -> u."""
+    return Digraph(n, (arc for u, v in edges for arc in ((u, v), (v, u))))
 
 
 def _cap_arcs(m: int) -> None:

@@ -472,8 +472,8 @@ def _verified(
     jobs: Iterator[tuple], bound: str, workers: int, violations: list[str]
 ) -> Iterator[VerificationRecord]:
     """verify_instance on each job, in order, on up to DICHROMA_THREADS
-    processes.  A pool pays off past 8 jobs and takes them all at once; one
-    worker draws each job when it is due."""
+    processes.  A pool pays off past 8 jobs and takes them in batches (see
+    _pooled); one worker draws each job when it is due."""
     head = list(islice(jobs, 9)) if workers > 1 else []
     pool = ProcessPoolExecutor(workers) if len(head) > 8 else None
     try:
@@ -481,7 +481,7 @@ def _verified(
         if pool is None:
             records = starmap(verify_instance, jobs)
         else:
-            records = pool.map(verify_instance, *zip(*jobs), chunksize=8)
+            records = _pooled(pool, jobs, workers)
         for record in records:
             if not record.holds[bound]:
                 violations.append(record.instance_id)
@@ -491,6 +491,21 @@ def _verified(
             pool.shutdown(cancel_futures=True)
     if violations:
         log.warning("%d violation(s) of the %s bound", len(violations), bound)
+
+
+def _pooled(pool, jobs: Iterator[tuple], workers: int) -> Iterator[VerificationRecord]:
+    """verify_instance on each job through the pool, in order, in batches of
+    four chunks of 8 jobs for each worker.  The next batch is drawn and
+    queued once the first record of the current one is out, so the workers
+    stay busy across a batch's end while at most two batches are held."""
+    size = 4 * workers * 8
+    batches = iter(lambda: list(islice(jobs, size)), [])
+    records = iter(())
+    for queued in (pool.map(verify_instance, *zip(*b), chunksize=8) for b in batches):
+        yield from records
+        yield next(queued)
+        records = queued
+    yield from records
 
 
 def hunt(config: Mapping[str, object]) -> HuntReport:

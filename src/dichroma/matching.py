@@ -2,20 +2,23 @@
 
 Odd cycles met while growing an alternating tree are contracted to their
 base vertex (the classic blossom step), which keeps the augmenting-path
-search exact on non-bipartite graphs.  Runs in O(n^3); instances here are
-small complements of near-complete neighbourhoods.
+search exact on non-bipartite graphs.  The graph is the digon graph of a
+digraph, its adjacency read off the masks as ``out & in``.  Runs in O(n^3);
+instances here are small complements of near-complete neighbourhoods.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .digraph import Graph
+from .digraph import Digraph, _bits
 
 
-def maximum_matching(g: Graph) -> frozenset[frozenset[int]]:
-    """A maximum matching of g as a set of 2-element frozensets."""
-    n = g.n
+def maximum_matching(d: Digraph) -> frozenset[frozenset[int]]:
+    """A maximum matching of the digon graph of d as a set of 2-element
+    frozensets."""
+    n = d.n
+    adj = [o & i for o, i in zip(*d.masks)]
     match = [-1] * n
     parent = [-1] * n
     base = list(range(n))
@@ -51,7 +54,7 @@ def maximum_matching(g: Graph) -> frozenset[frozenset[int]]:
         queue = deque([root])
         while queue:
             v = queue.popleft()
-            for to in g.adj[v]:
+            for to in _bits(adj[v]):
                 if base[v] == base[to] or match[v] == to:
                     continue
                 if to == root or (match[to] != -1 and parent[match[to]] != -1):
@@ -90,14 +93,11 @@ def maximum_matching(g: Graph) -> frozenset[frozenset[int]]:
     )
 
 
-def is_matching(g: Graph, edges: frozenset[frozenset[int]]) -> bool:
-    """Edges of g, pairwise disjoint."""
-    seen: set[int] = set()
+def is_matching(d: Digraph, edges: frozenset[frozenset[int]]) -> bool:
+    """Digons of d, as vertex pairs, pairwise disjoint."""
+    seen: frozenset[int] = frozenset()
     for e in edges:
-        if e not in g.edges:
+        if len(e) != 2 or seen & e or not d.has_digon(*e):
             return False
-        u, v = tuple(e)
-        if u in seen or v in seen:
-            return False
-        seen.update((u, v))
+        seen |= e
     return True

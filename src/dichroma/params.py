@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .digraph import Digraph, Graph, _bits
+from .digraph import Digraph, _bits
 from .errors import CapExceeded, InternalInconsistency, InvalidParameter
 from .exactmath import ceil_sqrt
 
@@ -143,18 +143,17 @@ def biclique_report(d: Digraph, cap: int = 10**6) -> BicliqueReport:
     omega = max(len(c) for c in cliques)
     maximum = sorted((c for c in cliques if len(c) == omega), key=sorted)
 
-    # components of the intersection graph of the maximum bicliques, each in
-    # index order; connected_components yields them by least index.  Linking
-    # the first biclique through each vertex to the others through it keeps
-    # the components of the all-pairs graph at linear cost
-    holders: list[list[int]] = [[] for _ in range(d.n)]
-    for i, c in enumerate(maximum):
-        for v in c:
-            holders[v].append(i)
-    meets = Graph(len(maximum), [(ids[0], j) for ids in holders for j in ids[1:]])
-    components = tuple(
-        tuple(maximum[i] for i in sorted(c)) for c in meets.connected_components()
-    )
+    # bicliques that meet, directly or through others, share a component of
+    # the digraph joining each one's least vertex to the rest of it (digons of
+    # d, so within its caps).  A group's first biclique holds its least
+    # vertex, so groups come by least index, each in index order
+    lows = [min(c) for c in maximum]
+    joins = {(low, v) for low, c in zip(lows, maximum) for v in c if v != low}
+    group = {v: comp for comp in Digraph(d.n, joins).components() for v in _bits(comp)}
+    groups: dict[int, list[frozenset[int]]] = {}
+    for low, c in zip(lows, maximum):
+        groups.setdefault(group[low], []).append(c)
+    components = tuple(map(tuple, groups.values()))
     return BicliqueReport(omega, tuple(maximum), components)
 
 

@@ -22,7 +22,6 @@ from dichroma.asr import (
 from dichroma.dense import dense_colour, find_dense_vertex, partition_N123
 from dichroma.digraph import (
     Digraph,
-    Graph,
     complete_digraph,
     directed_cycle,
     obstruction,
@@ -81,7 +80,7 @@ def test_01_symmetric_closures_embed_graph_invariants() -> None:
     for seed in range(200):
         rng = random.Random(seed)
         n, edges = _random_graph(rng, 8)
-        d = symmetric_closure(Graph(n, edges))
+        d = symmetric_closure(n, edges)
         degs = [0] * n
         for u, v in edges:
             degs[u] += 1
@@ -156,7 +155,7 @@ def _transversal_stream():
         g.add_nodes_from(range(n))
         if not nx.is_connected(g):
             continue
-        d = symmetric_closure(Graph(n, edges))
+        d = symmetric_closure(n, edges)
         if 3 * biclique_report(d).omega_bi < 2 * (degree_profile(d).delta_max + 1):
             continue
         accepted += 1

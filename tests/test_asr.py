@@ -21,7 +21,6 @@ from dichroma.asr import (
 )
 from dichroma.digraph import (
     Digraph,
-    Graph,
     complete_digraph,
     obstruction,
     symmetric_closure,
@@ -63,7 +62,7 @@ def test_find_asr_small() -> None:
 
 def test_find_asr_none_exists() -> None:
     # all four cross pairs are digons: every transversal carries a 2-cycle
-    d = symmetric_closure(Graph(4, [(0, 2), (0, 3), (1, 2), (1, 3)]))
+    d = symmetric_closure(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     inst = ASRInstance(d, (frozenset({0, 1}), frozenset({2, 3})), 1)
     assert not inst.satisfies_degree_condition
     with pytest.raises(NoASR):
@@ -163,10 +162,8 @@ def test_list_dicolour_asr() -> None:
 
 
 def test_acyclic_hitting_set() -> None:
-    base = Graph(4, [(0, 1), (2, 3)])
-    d = Digraph(
-        4, list(symmetric_closure(base).arcs) + [(0, 2), (3, 1)]
-    )
+    base = symmetric_closure(4, [(0, 1), (2, 3)])
+    d = Digraph(4, list(base.arcs) + [(0, 2), (3, 1)])
     parts = (frozenset({0, 1}), frozenset({2, 3}))
     hit = acyclic_hitting_set(d, parts, 1)
     assert all(len(hit & p) == 1 for p in parts)
@@ -214,9 +211,9 @@ def _check_shape(d: Digraph, outcome: TransversalOutcome) -> None:
 
 def test_transversal_worked_examples() -> None:
     _check_hitting(complete_digraph(4), biclique_transversal(complete_digraph(4), 3))
-    c6 = symmetric_closure(Graph(6, [(i, (i + 1) % 6) for i in range(6)]))
+    c6 = symmetric_closure(6, [(i, (i + 1) % 6) for i in range(6)])
     _check_hitting(c6, biclique_transversal(c6, 2))
-    p4 = symmetric_closure(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+    p4 = symmetric_closure(4, [(0, 1), (1, 2), (2, 3)])
     _check_hitting(p4, biclique_transversal(p4, 2))
 
 
@@ -230,10 +227,10 @@ def test_transversal_product_shapes() -> None:
 
 
 def test_transversal_preconditions() -> None:
-    star = symmetric_closure(Graph(4, [(0, 1), (0, 2), (0, 3)]))
+    star = symmetric_closure(4, [(0, 1), (0, 2), (0, 3)])
     with pytest.raises(PreconditionViolated):
         biclique_transversal(star, 3)
-    two_digons = symmetric_closure(Graph(4, [(0, 1), (2, 3)]))
+    two_digons = symmetric_closure(4, [(0, 1), (2, 3)])
     with pytest.raises(PreconditionViolated):
         biclique_transversal(two_digons, 1)
     with pytest.raises(PreconditionViolated):
@@ -251,7 +248,7 @@ def test_transversal_matches_oracle_sweep() -> None:
         edges = [
             (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
         ]
-        d = symmetric_closure(Graph(n, edges))
+        d = symmetric_closure(n, edges)
         if not d.is_connected() or d.n == 0:
             continue
         delta = degree_profile(d).delta_max

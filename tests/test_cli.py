@@ -210,9 +210,9 @@ def test_error_exit_codes(capsys, tmp_path) -> None:
 def test_check_violation_exit_code(capsys, tmp_path) -> None:
     # at eps near 1 the min-degree bound collapses towards omega, and the
     # bidirected C5 needs 3 colours against directed clique number 2
-    from dichroma.digraph import Graph, symmetric_closure
+    from dichroma.digraph import symmetric_closure
 
-    c5 = symmetric_closure(Graph(5, [(i, (i + 1) % 5) for i in range(5)]))
+    c5 = symmetric_closure(5, [(i, (i + 1) % 5) for i in range(5)])
     path = tmp_path / "c5.dgf"
     path.write_text(emit_dgf(c5), encoding="ascii")
     code, out, _ = _run(
@@ -492,6 +492,48 @@ def test_fraction_at_the_digit_limit_is_read(capsys, triangle) -> None:
     limit = sys.get_int_max_str_digits()
     code, out, _ = _run(capsys, ["check", triangle, f"--eps=1e-{limit - 1}"])
     assert code == 0 and Fraction(out["eps"]) == Fraction(1, 10 ** (limit - 1))
+
+
+def test_dense_threshold_at_the_digit_limit_is_quick(capsys, triangle) -> None:
+    """delta_threshold is closed-form, so a density parameter with thousands
+    of digits costs no search."""
+    limit = sys.get_int_max_str_digits()
+    start = time.perf_counter()
+    code, out, _ = _run(capsys, ["dense", triangle, f"--a=1e-{limit - 1}", "--eps=1/7"])
+    assert time.perf_counter() - start < 1
+    assert code == 0 and out["degree_hypothesis"] is False
+
+
+# a directed triangle 0 1 2 and a digon 0 3
+_LIST_FUZZ_FILE = "n 4\n0 1\n1 2\n2 0\n0 3\n3 0\n"
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_COLOURS = st.lists(st.integers(-1, 3) | st.integers(), max_size=4) | _JSON
+_VERTEX_KEY = st.integers(-1, 5).map(str) | st.text(max_size=3)
+_LIST_FILES = st.one_of(
+    st.lists(_COLOURS, min_size=3, max_size=5),  # 4 covers every vertex
+    st.dictionaries(_VERTEX_KEY, _COLOURS, max_size=5),
+    _JSON,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_LIST_FILES)
+def test_any_list_file_ends_in_one_json_line(lists) -> None:
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "lists.json")
+        with open(path, "w", encoding="ascii") as handle:
+            json.dump(lists, handle)
+        _ends_in_one_json_line(_LIST_FUZZ_FILE, [("dicolor", "--list", path)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-2, 6).map(str) | st.integers().map(str) | st.text(max_size=6))
+def test_any_dicolor_k_ends_in_one_json_line(k: str) -> None:
+    _ends_in_one_json_line(_LIST_FUZZ_FILE, [("dicolor", f"--k={k}")])
 
 
 def test_params_peak_on_a_big_sparse_file(tmp_path) -> None:

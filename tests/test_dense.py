@@ -17,7 +17,6 @@ from dichroma.dense import (
 )
 from dichroma.digraph import (
     Digraph,
-    Graph,
     complete_digraph,
     directed_cycle,
     random_digraph,
@@ -152,7 +151,7 @@ def test_complement_matching() -> None:
     matching, exposed = _complement_matching(k4, [0, 1, 2, 3])
     assert matching == frozenset()
     assert exposed == frozenset({0, 1, 2, 3})
-    two = symmetric_closure(Graph(4, [(0, 1), (2, 3)]))
+    two = symmetric_closure(4, [(0, 1), (2, 3)])
     matching, exposed = _complement_matching(two, [0, 1, 2, 3])
     assert len(matching) == 2 and exposed == frozenset()
 
@@ -188,8 +187,11 @@ def test_delta_threshold_values() -> None:
     assert delta_threshold(Fraction(1, 600)) == 599
     assert delta_threshold(Fraction(1, 16)) == 15
     assert delta_threshold(Fraction(1, 4)) == 3
+    assert delta_threshold(Fraction(1, 10**30)) == 10**30 - 1
+    assert delta_threshold(Fraction(1, 10**4299)) == 10**4299 - 1
     with mpmath.workdps(60):
-        for p, q in ((1, 9), (1, 100), (3, 1000), (1, 577)):
+        # 4/9 is a perfect square where the sqrt term binds; 10**29 + 7 has 30 digits
+        for p, q in ((1, 9), (1, 100), (3, 1000), (1, 577), (4, 9), (3, 10**29 + 7)):
             a = mpmath.mpf(p) / q
             want = max(
                 int(mpmath.ceil((1 - a) / (mpmath.sqrt(a) - a))),

@@ -1,4 +1,4 @@
-"""Digraph and graph containers, constructors, and structural queries."""
+"""Digraph container, constructors, and structural queries."""
 
 import pickle
 import random
@@ -7,6 +7,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import length_hint
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,7 +18,7 @@ from dichroma.dense import dense_reduce_theorem
 from dichroma.digraph import (
     MAX_ARCS,
     Digraph,
-    Graph,
+    _bits,
     complete_digraph,
     directed_cycle,
     obstruction,
@@ -29,7 +30,7 @@ from dichroma.errors import InstanceTooLarge, InvalidParameter, InvalidVertex, S
 from dichroma.solver import check_partial_kl
 from dichroma.sparse import sparse_dicolour
 
-from .oracles import acyclic, isomorphic
+from .oracles import acyclic, isomorphic, to_nx
 
 
 def digraphs(max_n: int = 8):
@@ -109,8 +110,6 @@ def test_digraph_views_agree(case) -> None:
     assert shuffled == d and hash(shuffled) == hash(d)
     assert Digraph(n + 1, arcs) != d
     assert d.reverse().arcs == {(v, u) for u, v in want}
-    assert d.symmetric_part().edges == {frozenset(a) for a in want if a[::-1] in want}
-    assert d.underlying_graph().edges == {frozenset(a) for a in want}
 
 
 def test_digraph_footprint() -> None:
@@ -168,7 +167,6 @@ def test_reverse_involution(d: Digraph) -> None:
     r = d.reverse()
     assert r.arcs == frozenset((v, u) for u, v in d.arcs)
     assert r.reverse().arcs == d.arcs
-    assert d.symmetric_part().edges == r.symmetric_part().edges
     out, inn = d.masks
     for v in range(d.n):
         for w in range(d.n):
@@ -196,12 +194,27 @@ def test_acyclicity_matches_networkx(d: Digraph, pick: int) -> None:
 
 
 def test_underlying_and_components() -> None:
-    d = Digraph(5, [(0, 1), (2, 3), (3, 2)])
-    g = d.underlying_graph()
-    comps = sorted(sorted(c) for c in g.connected_components())
-    assert comps == [[0, 1], [2, 3], [4]]
+    d = Digraph(5, [(0, 1), (3, 2), (2, 3)])
+    assert d.components() == [0b00011, 0b01100, 0b10000]
+    assert d.components(0b11010) == [0b00010, 0b01000, 0b10000]
+    assert d.components(0) == [] and Digraph(0, []).components() == []
+    with pytest.raises(InvalidVertex):
+        d.components(1 << 5)
+    with pytest.raises(InvalidVertex):
+        d.components(-1)
     assert not d.is_connected()
-    assert directed_cycle(4).is_connected()
+    assert directed_cycle(4).is_connected() and Digraph(0, []).is_connected()
+
+
+@settings(max_examples=100, deadline=None)
+@given(digraphs(9), st.integers(0, 2**9 - 1))
+def test_components_match_networkx(d: Digraph, inside: int) -> None:
+    inside &= (1 << d.n) - 1
+    for mask, keep in ((None, range(d.n)), (inside, [v for v in range(d.n) if inside >> v & 1])):
+        g = to_nx(d.n, d.arcs).subgraph(keep)
+        want = sorted(sorted(c) for c in nx.weakly_connected_components(g))
+        assert [list(_bits(c)) for c in d.components(mask)] == want
+    assert d.is_connected() == nx.is_weakly_connected(to_nx(d.n, d.arcs))
 
 
 def test_remove_vertices_keeps_labels_dense() -> None:
@@ -217,7 +230,7 @@ def test_families() -> None:
     assert k3.arc_count() == 6 and all(k3.has_digon(u, v) for u in range(3) for v in range(u))
     c4 = directed_cycle(4)
     assert c4.arcs == frozenset({(0, 1), (1, 2), (2, 3), (3, 0)})
-    assert symmetric_closure(Graph(2, [(0, 1)])).arcs == frozenset({(0, 1), (1, 0)})
+    assert symmetric_closure(2, [(0, 1)]).arcs == frozenset({(0, 1), (1, 0)})
 
 
 def test_obstruction_structure() -> None:
@@ -238,7 +251,7 @@ def test_obstruction_structure() -> None:
 def test_obstruction_is_blowup_of_cycle() -> None:
     # contracting each block of obstruction(n, 1) gives the bidirected cycle
     d = obstruction(4, 1)
-    e = symmetric_closure(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    e = symmetric_closure(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert isomorphic(d.n, d.arcs, e.n, e.arcs)
 
 

@@ -17,7 +17,6 @@ from dichroma.digraph import (
     obstruction,
     random_digraph,
     symmetric_closure,
-    Graph,
 )
 from dichroma.errors import InstanceTooLarge, InternalInconsistency, InvalidParameter
 from dichroma.exactmath import compare_to_ln_cubed
@@ -125,7 +124,7 @@ def test_delmin_reduction_traces() -> None:
     assert set(delmin_reduction(tt3).arcs) == {(1, 2)}
     c5 = directed_cycle(5)
     assert set(delmin_reduction(c5).arcs) == set(c5.arcs)
-    sym = symmetric_closure(Graph(4, [(i, (i + 1) % 4) for i in range(4)]))
+    sym = symmetric_closure(4, [(i, (i + 1) % 4) for i in range(4)])
     assert set(delmin_reduction(sym).arcs) == set(sym.arcs)
     assert delmin_reduction(Digraph(0, [])).n == 0
 
@@ -316,6 +315,23 @@ def test_hunt_records_checks_first_then_draws_one_record_at_a_time(monkeypatch) 
     with pytest.raises(InvalidParameter):
         hunt_records(config, [])
     assert len(drawn) == 466
+
+
+def test_pooled_hunt_draws_a_batch_at_a_time() -> None:
+    drawn = []
+
+    def jobs():
+        for i in range(200):
+            drawn.append(i)
+            yield random_digraph(4, 0.3, 0.3, seed=i), Fraction(1, 2), f"job-{i:03d}", i
+
+    records = harness._verified(jobs(), "reed", 2, [])
+    # a batch is four chunks of 8 jobs for each of the 2 workers; the next
+    # one is drawn once the first record of the one before is out
+    for i, record in enumerate(records):
+        assert record.instance_id == f"job-{i:03d}"
+        assert len(drawn) <= min(200, 64 if i == 0 else (i // 64 + 2) * 64)
+    assert i == 199 and len(drawn) == 200
 
 
 def test_hunt_records_grows_classes_as_they_are_read(monkeypatch) -> None:

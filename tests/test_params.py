@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 import dichroma
 from dichroma.digraph import (
     Digraph,
-    Graph,
     complete_digraph,
     directed_cycle,
     obstruction,
@@ -200,7 +199,7 @@ def test_biclique_report_deeper_than_the_recursion_limit() -> None:
 
 def test_biclique_cap_counts_maximal_cliques() -> None:
     # a 5-digon matching has 5 maximal bicliques; K9 has just one
-    matching = symmetric_closure(Graph(10, [(2 * i, 2 * i + 1) for i in range(5)]))
+    matching = symmetric_closure(10, [(2 * i, 2 * i + 1) for i in range(5)])
     with pytest.raises(CapExceeded):
         biclique_report(matching, cap=3)
     assert biclique_report(complete_digraph(9), cap=3).omega_bi == 9

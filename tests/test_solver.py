@@ -16,7 +16,6 @@ from dichroma.digraph import (
     random_digraph,
     random_tournament,
     symmetric_closure,
-    Graph,
 )
 from dichroma import solver
 from dichroma.errors import (
@@ -286,9 +285,7 @@ def test_witness_self_check(monkeypatch) -> None:
 
 def _biclique_k32() -> Digraph:
     # digons between {0, 1, 2} and {3, 4}
-    return symmetric_closure(
-        Graph(5, [(a, b) for a in range(3) for b in (3, 4)])
-    )
+    return symmetric_closure(5, [(a, b) for a in range(3) for b in (3, 4)])
 
 
 def test_check_partial_kl() -> None:
@@ -346,7 +343,7 @@ def test_dichoosability_small_cases() -> None:
     assert is_k_dichoosable(complete_digraph(3), 3)
     assert not is_k_dichoosable(complete_digraph(3), 2)
     # bidirected even cycle is 2-dichoosable
-    cyc = symmetric_closure(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)]))
+    cyc = symmetric_closure(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
     assert is_k_dichoosable(cyc, 2)
 
 
@@ -354,8 +351,8 @@ def test_dichoosability_small_cases() -> None:
 def test_bidirected_complete_bipartite_2_dichoosability(a, b, choosable) -> None:
     # Erdos, Rubin and Taylor: K_{2,3} is 2-choosable, K_{2,4} and K_{3,3}
     # are not; their bad lists come after many colourable candidates
-    g = Graph(a + b, [(x, y) for x in range(a) for y in range(a, a + b)])
-    assert is_k_dichoosable(symmetric_closure(g), 2) == choosable
+    g = symmetric_closure(a + b, [(x, y) for x in range(a) for y in range(a, a + b)])
+    assert is_k_dichoosable(g, 2) == choosable
 
 
 @settings(max_examples=40, deadline=None)

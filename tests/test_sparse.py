@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from dichroma.digraph import (
     Digraph,
-    Graph,
     random_digraph,
     symmetric_closure,
 )
@@ -96,7 +95,7 @@ def test_sparse_dicolour_validation() -> None:
     with pytest.raises(PreconditionViolated):
         sparse_dicolour(d, 10**6)
     # degenerate degrees skip the sampler but still colour exactly
-    tiny = symmetric_closure(Graph(2, [(0, 1)]))
+    tiny = symmetric_closure(2, [(0, 1)])
     for tries in (0, -1):  # the Delta < 2 shortcut does not skip the check
         for g in (d, tiny, Digraph(0, [])):
             with pytest.raises(InvalidParameter):
@@ -162,7 +161,7 @@ def test_sparse_dicolour_on_random_digraphs(n: int, seed: int) -> None:
 
 
 def test_monte_carlo_degenerate() -> None:
-    est = monte_carlo(symmetric_closure(Graph(2, [(0, 1)])), 0, 50, seed=3)
+    est = monte_carlo(symmetric_closure(2, [(0, 1)]), 0, 50, seed=3)
     assert est.mean_x == est.mean_y == est.mean_z == 0.0
     assert est.trials == 50
     with pytest.raises(InvalidVertex):
